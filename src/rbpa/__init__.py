@@ -33,13 +33,6 @@ from .egf import (
     NotAnIntegerError,
     OrderMismatchError,
     ZeroConstantTermError,
-    egf_add,
-    egf_coeff_int,
-    egf_exp_linear,
-    egf_mul,
-    egf_pow,
-    egf_reciprocal,
-    egf_scale,
 )
 from .oracle import (
     SizeLimitError,
@@ -63,13 +56,6 @@ __all__ = [
     "ZeroConstantTermError",
     "binomial",
     "corollary_convolution_check",
-    "egf_add",
-    "egf_coeff_int",
-    "egf_exp_linear",
-    "egf_mul",
-    "egf_pow",
-    "egf_reciprocal",
-    "egf_scale",
     "enumerate_preferential_arrangements",
     "enumerate_rbpa",
     "enumerate_rbpa_with_empty",

@@ -115,18 +115,19 @@ def poly_bernoulli(k: int, n: int) -> Fraction:
     """B with a single upper index k, any sign.
 
     Stirling-reduced finite form sum_s (-1)^{n+s} s! {n brace s} / (s+1)^k;
-    integral for k <= 0.
+    integral for k <= 0. Terms are added as ints; only a positive k
+    makes them rational, and only then does the sum go through Fraction.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = Fraction(0)
+    total = 0
     for s in range(n + 1):
         numerator = (-1) ** (n + s) * factorial(s) * stirling2(n, s)
         if k > 0:
             total += Fraction(numerator, int_pow(s + 1, k))
         else:
             total += numerator * int_pow(s + 1, -k)
-    return total
+    return Fraction(total)
 
 
 def poly_bernoulli_double_sum(k: int, n: int, slack: int = 3) -> Fraction:
@@ -241,25 +242,26 @@ def w_family(r: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _chain_power_rows(indices: tuple, t_max: int) -> tuple[Fraction, ...]:
+def _chain_power_rows(indices: tuple, t_max: int) -> tuple[int | Fraction, ...]:
     """T_b(t) = sum over 0 < s_1 < ... < s_b = t of prod factor(s_i, k_i).
 
-    factor(t, k) is t^{-k} as an exact rational; indices are the actual
-    signed upper indices. Built depth by depth with running prefix
-    sums.
+    factor(t, k) is t^{-k}: an int for k <= 0 and a Fraction only for
+    k > 0, so the sums stay in ints until a positive index makes a term
+    rational. indices are the actual signed upper indices. Built depth
+    by depth with running prefix sums.
     """
 
-    def factor(t: int, k: int) -> Fraction:
+    def factor(t: int, k: int) -> int | Fraction:
         if k > 0:
             return Fraction(1, int_pow(t, k))
-        return Fraction(int_pow(t, -k))
+        return int_pow(t, -k)
 
-    chain = [Fraction(0)] * (t_max + 1)
+    chain = [0] * (t_max + 1)
     for t in range(1, t_max + 1):
         chain[t] = factor(t, indices[0])
     for depth in range(1, len(indices)):
-        running = Fraction(0)
-        nxt = [Fraction(0)] * (t_max + 1)
+        running = 0
+        nxt = [0] * (t_max + 1)
         for t in range(1, t_max + 1):
             running += chain[t - 1]
             nxt[t] = factor(t, indices[depth]) * running
@@ -280,7 +282,7 @@ def u_stirling_sum(indices: Sequence[int], n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     b = len(idx)
     chain = _chain_power_rows(idx, n + b)
-    total = Fraction(0)
+    total = 0
     for t in range(b, n + b + 1):
         total += (
             chain[t]
@@ -288,7 +290,7 @@ def u_stirling_sum(indices: Sequence[int], n: int) -> Fraction:
             * factorial(t - b)
             * stirling2(n + 1, t - b + 1)
         )
-    return (-1) ** (n + 1) * total
+    return Fraction((-1) ** (n + 1) * total)
 
 
 def u_number(idx: Sequence[int], n: int) -> int:

@@ -1,5 +1,5 @@
 """The p^r_j(n) family: arrangements of an n-set into r restricted and
-j free sections, computed by four genuinely independent routes.
+j free sections, computed by four routes.
 
 * p_egf            coefficient extraction from e^{rm} / (2 - e^m)^j
 * p_binomial_shift finite binomial sum over the r = 0 column
@@ -9,16 +9,30 @@ j free sections, computed by four genuinely independent routes.
                    explicit tail certificate resp. a vanishing-
                    differences truncation
 
+Every route except p_recurrence reads generating-function rows through
+one row cache. `_p_row(r, j, order)` builds one truncated series per
+miss; `_p_values` serves each request for p^r_j(0..n) as a slice of the
+longest row built so far for (r, j), and on a longer request rebuilds
+at max(n, 2 * longest). Slicing is exact because coefficient n of
+e^{rm}/(2-e^m)^j does not depend on the truncation order. A cold
+(r, j) is built at exactly n, so a single table costs what it always
+did.
+
+The sums over those rows stay in integers: the binomial shift keeps a
+running power, the double sum evaluates each shifted value once, and
+the certified series is added as v_s * 2^(S-1-s) and rounded by one
+shift, so none of these sums builds a Fraction.
+
 Cross-checks between the routes live in the identity registry; this
 module only computes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .combinat import binomial, int_pow
 from .egf import Egf, exp_series, one
@@ -67,26 +81,37 @@ def two_minus_exp(order: int) -> Egf:
 
 
 @lru_cache(maxsize=None)
-def _p_row(r: int, j: int, n_max: int) -> tuple[int, ...]:
-    series = exp_series(r, n_max) * (two_minus_exp(n_max) ** j).reciprocal()
-    return tuple(series.coeff_int(n) for n in range(n_max + 1))
+def _p_row(r: int, j: int, order: int) -> tuple[int, ...]:
+    series = exp_series(r, order) * (two_minus_exp(order) ** j).reciprocal()
+    return tuple(series.coeff_int(n) for n in range(order + 1))
+
+
+# (r, j) -> order of the longest _p_row built for it
+_row_orders: dict[tuple[int, int], int] = {}
+
+
+def _p_values(r: int, j: int, n: int) -> tuple[int, ...]:
+    """p^r_j(0..n), sliced from the longest cached row for (r, j)."""
+    longest = _row_orders.get((r, j))
+    if longest is None or n > longest:
+        longest = n if longest is None else max(n, 2 * longest)
+        _row_orders[(r, j)] = longest
+    row = _p_row(r, j, longest)
+    return row if n == longest else row[: n + 1]
 
 
 def p_egf(r: int, j: int, n_max: int) -> SequenceTable:
     """p^r_j(0..n_max) via the generating function e^{rm}/(2-e^m)^j."""
     if r < 0 or j < 0 or n_max < 0:
         raise ValueError("r, j, n_max must be >= 0")
-    return SequenceTable(r=r, j=j, values=_p_row(r, j, n_max))
+    return SequenceTable(r=r, j=j, values=_p_values(r, j, n_max))
 
 
 def p_binomial_shift(r: int, j: int, n: int) -> int:
     """p^r_j(n) = sum_s C(n,s) r^s p^0_j(n-s)."""
     if r < 0 or j < 0 or n < 0:
         raise ValueError("r, j, n must be >= 0")
-    base_row = _p_row(0, j, n)
-    return sum(
-        binomial(n, s) * int_pow(r, s) * base_row[n - s] for s in range(n + 1)
-    )
+    return _shifted_value(r, j, n)
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +129,7 @@ def p_recurrence(r: int, j: int, n: int) -> int:
 
 
 def _shifted_value(base: int, j: int, n: int) -> int:
-    """p^base_j(n) for the inner terms of the series forms.
+    """p^base_j(n) = sum_s C(n,s) base^s p^0_j(n-s).
 
     base can be large (it runs over the series index), so the value is
     assembled from the cached r = 0 row instead of building a fresh
@@ -112,10 +137,13 @@ def _shifted_value(base: int, j: int, n: int) -> int:
     """
     if j == 0:
         return int_pow(base, n)
-    row = _p_row(0, j, n)
-    return sum(
-        binomial(n, s) * int_pow(base, s) * row[n - s] for s in range(n + 1)
-    )
+    row = _p_values(0, j, n)
+    total = 0
+    power = 1
+    for s in range(n + 1):
+        total += binomial(n, s) * power * row[n - s]
+        power *= base
+    return total
 
 
 def p_double_sum(r: int, j: int, n: int) -> int:
@@ -130,11 +158,12 @@ def p_double_sum(r: int, j: int, n: int) -> int:
         raise ValueError("the double-sum form needs j >= 1")
     if r < 0 or n < 0:
         raise ValueError("r, n must be >= 0")
+    # shifted[t] = p^{r+t}_{j-1}(n); inner sum k reads shifted[0..k]
+    shifted = [_shifted_value(r + t, j - 1, n) for t in range(n + 4)]
 
     def inner(k: int) -> int:
         return sum(
-            binomial(k, s) * (-1) ** s * _shifted_value(r + k - s, j - 1, n)
-            for s in range(k + 1)
+            binomial(k, s) * (-1) ** s * shifted[k - s] for s in range(k + 1)
         )
 
     total = sum(inner(k) for k in range(n + 1))
@@ -176,6 +205,22 @@ def _certify_truncation(r: int, j: int, n: int) -> TailCertificate:
     )
 
 
+def certified_round(term: Callable[[int], int], cert: TailCertificate) -> int:
+    """floor(sum_{s<S} term(s) / 2^{s+1} + 1/2), S = cert.truncation_index.
+
+    The partial sum is scaled by 2^S and accumulated by Horner's rule
+    as sum_s term(s) * 2^(S-1-s), so the rounding is one integer shift.
+    The certificate's tail bound < 1/2 makes this the value of the
+    whole series when its terms are non-negative integers.
+    """
+    t = cert.truncation_index
+    total = 0
+    for s in range(t):
+        total = (total << 1) + term(s)
+    # floor((total + 2^(t-1)) / 2^t), written to hold at t = 0 as well
+    return (2 * total + (1 << t)) >> (t + 1)
+
+
 def p_series_certified(r: int, j: int, n: int) -> tuple[int, TailCertificate]:
     """p^r_j(n) = (1/2) sum_{s>=0} p^{r+s}_{j-1}(n) / 2^s, j >= 1.
 
@@ -187,14 +232,7 @@ def p_series_certified(r: int, j: int, n: int) -> tuple[int, TailCertificate]:
     if r < 0 or n < 0:
         raise ValueError("r, n must be >= 0")
     cert = _certify_truncation(r, j, n)
-    partial = sum(
-        (
-            Fraction(_shifted_value(r + s, j - 1, n), 2 ** (s + 1))
-            for s in range(cert.truncation_index)
-        ),
-        Fraction(0),
-    )
-    value = math.floor(partial + Fraction(1, 2))
+    value = certified_round(lambda s: _shifted_value(r + s, j - 1, n), cert)
     return value, cert
 
 
@@ -212,7 +250,7 @@ def p_inclusion_exclusion(r: int, j: int, n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     return sum(
-        binomial(r, s) * (-1) ** (s + 1) * _p_row(s, j - s, n)[n]
+        binomial(r, s) * (-1) ** (s + 1) * _p_values(s, j - s, n)[n]
         for s in range(1, r + 1)
     )
 

@@ -142,33 +142,3 @@ def exp_series(rate: int, order: int) -> Egf:
     """e^{rate * x} truncated at the given order: coefficients rate^n."""
     return Egf(order, tuple(Fraction(rate) ** n for n in range(order + 1)))
 
-
-# function-style surface, one name per operation
-
-
-def egf_exp_linear(r: int, order: int) -> Egf:
-    return exp_series(r, order)
-
-
-def egf_add(f: Egf, g: Egf) -> Egf:
-    return f + g
-
-
-def egf_scale(c: Scalar, f: Egf) -> Egf:
-    return f * c
-
-
-def egf_mul(f: Egf, g: Egf) -> Egf:
-    return f * g
-
-
-def egf_pow(f: Egf, k: int) -> Egf:
-    return f ** k
-
-
-def egf_reciprocal(f: Egf) -> Egf:
-    return f.reciprocal()
-
-
-def egf_coeff_int(f: Egf, n: int) -> int:
-    return f.coeff_int(n)

@@ -18,9 +18,8 @@ from typing import Callable, Optional, Sequence
 
 from . import bernoulli, counts, oracle
 from .combinat import binomial, int_pow
-from .counts import _certify_truncation, p_egf, p_recurrence
+from .counts import _certify_truncation, certified_round, p_egf, p_recurrence
 from .egf import exp_series
-from math import floor
 
 
 class UnknownIdentityError(KeyError):
@@ -167,6 +166,12 @@ def _eval_l1(bd):
 
 
 def _cycle_window(n_max: int):
+    # like last_digit_cycle_check: nine consecutive values from n = 1, so
+    # the window is never empty and every residue mod 4 is compared
+    if n_max < 9:
+        raise ValueError(
+            f"n_max must be >= 9 so every residue mod 4 is compared, got {n_max}"
+        )
     return range(1, n_max - 3)
 
 
@@ -219,38 +224,23 @@ def _eval_incl_excl(bd):
     return lhs, rhs, note
 
 
-def _round_half(partial: Fraction) -> int:
-    return floor(partial + Fraction(1, 2))
-
-
 def _eval_ser_l7(bd):
     n = bd["n"]
     lhs = p_egf(0, 1, n)[n]
     cert = _certify_truncation(0, 1, n)
-    partial = sum(
-        (
-            Fraction(int_pow(s, n), 2 ** (s + 1))
-            for s in range(cert.truncation_index)
-        ),
-        Fraction(0),
-    )
+    rhs = certified_round(lambda s: int_pow(s, n), cert)
     note = f"truncated at S = {cert.truncation_index}, tail < {cert.tail_bound}"
-    return lhs, _round_half(partial), note
+    return lhs, rhs, note
 
 
 def _eval_ser_l8(bd):
     n = bd["n"]
     lhs = p_egf(2, 1, n)[n]
     cert = _certify_truncation(2, 1, n)
-    partial = 2 * sum(
-        (
-            Fraction(int_pow(s, n), 2 ** s)
-            for s in range(2, cert.truncation_index + 2)
-        ),
-        Fraction(0),
-    )
+    # 2 sum_{s>=2} s^n / 2^s = sum_{u>=0} (u+2)^n / 2^{u+1}
+    rhs = certified_round(lambda u: int_pow(u + 2, n), cert)
     note = f"truncated at S = {cert.truncation_index}, tail < {cert.tail_bound}"
-    return lhs, _round_half(partial), note
+    return lhs, rhs, note
 
 
 def _eval_ser_t(bd):

@@ -145,6 +145,17 @@ def test_u_stirling_sum_handles_positive_indices():
     assert u_stirling_sum((-1, -2), 2) == 115
 
 
+@pytest.mark.parametrize("k", [-3, -1, 0, 1, 2])
+def test_integer_sums_still_return_fractions(k):
+    # both sums run in ints unless a positive index makes a term
+    # rational; the return type must not depend on the index sign
+    for n in range(4):
+        assert type(poly_bernoulli(k, n)) is Fraction
+        assert type(u_stirling_sum((k,), n)) is Fraction
+        assert type(u_stirling_sum((-2, k), n)) is Fraction
+        assert type(u_stirling_sum((k, -2), n)) is Fraction
+
+
 def test_u_constant_term_is_the_chain_weight():
     # at n = 0 the value is prod_i i^{j_i}, the weight of the one chain
     # (1, 2, ..., b); it is 1 only when every entry past the first is 0

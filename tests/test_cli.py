@@ -151,6 +151,19 @@ def test_verify_set_without_identity(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "ident, n_max",
+    [("CYCLE_P", "3"), ("CYCLE_B2", "8"), ("CYCLE_BMULTI", "8"), ("CYCLE_U", "8")],
+)
+def test_verify_cycle_window_too_short_is_a_usage_error(capsys, ident, n_max):
+    # a window shorter than nine values used to compare (almost) nothing
+    # and report a pass
+    code, out, err = run(capsys, "verify", ident, "--set", f"n_max={n_max}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("rbpa: n_max must be >= 9")
+
+
 def test_verify_diagnostic_identity_does_not_fail_the_run(capsys):
     code, out, _ = run(capsys, "verify", "UREL", "--set", "b=0",
                        "--set", "n=0,1")

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,14 @@ from rbpa.counts import (
     p_inclusion_exclusion,
     p_recurrence,
     p_series_certified,
+    two_minus_exp,
 )
+from rbpa.egf import exp_series
+
+
+def clear_row_cache():
+    counts._p_row.cache_clear()
+    counts._row_orders.clear()
 
 
 def test_known_rows():
@@ -133,3 +142,55 @@ def test_recurrence_agrees_with_generating_function(r, j, n):
 def test_certified_series_agrees_with_generating_function(r, j, n):
     value, _ = p_series_certified(r, j, n)
     assert value == p_egf(r, j, n)[n]
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 12)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_row_cache_slices_match_fresh_builds(requests):
+    # any request order: each answer, sliced from a longer row or not,
+    # equals the order-n series built from scratch
+    clear_row_cache()
+    for r, j, n in requests:
+        fresh = exp_series(r, n) * (two_minus_exp(n) ** j).reciprocal()
+        expected = tuple(fresh.coeff_int(m) for m in range(n + 1))
+        assert p_egf(r, j, n).values == expected
+
+
+def test_row_cache_builds_each_row_once_per_doubling():
+    # a shuffled sweep n = 0..59 over one (r, j) used to build 60 rows;
+    # this order opens at n = 12, then n = 45 builds at 45 and a later
+    # n > 45 at 2 * 45
+    clear_row_cache()
+    sweep = list(range(60))
+    random.Random(7).shuffle(sweep)
+    values = {n: p_binomial_shift(0, 2, n) for n in sweep}
+    assert counts._p_row.cache_info().misses == 3
+    assert counts._row_orders == {(0, 2): 90}
+    assert values == {n: p_recurrence(0, 2, n) for n in range(60)}
+
+
+def test_certified_round_equals_the_rational_partial_sum():
+    for r in range(5):
+        for j in range(1, 5):
+            for n in range(13):
+                cert = counts._certify_truncation(r, j, n)
+                terms = [
+                    counts._shifted_value(r + s, j - 1, n)
+                    for s in range(cert.truncation_index)
+                ]
+                reference = floor(
+                    sum(
+                        (Fraction(v, 2 ** (s + 1)) for s, v in enumerate(terms)),
+                        Fraction(0),
+                    )
+                    + Fraction(1, 2)
+                )
+                value, got_cert = p_series_certified(r, j, n)
+                assert got_cert == cert
+                assert value == reference

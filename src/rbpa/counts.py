@@ -96,8 +96,7 @@ def _p_values(r: int, j: int, n: int) -> tuple[int, ...]:
     if longest is None or n > longest:
         longest = n if longest is None else max(n, 2 * longest)
         _row_orders[(r, j)] = longest
-    row = _p_row(r, j, longest)
-    return row if n == longest else row[: n + 1]
+    return _p_row(r, j, longest)[: n + 1]
 
 
 def p_egf(r: int, j: int, n_max: int) -> SequenceTable:

@@ -141,4 +141,3 @@ def one(order: int) -> Egf:
 def exp_series(rate: int, order: int) -> Egf:
     """e^{rate * x} truncated at the given order: coefficients rate^n."""
     return Egf(order, tuple(Fraction(rate) ** n for n in range(order + 1)))
-

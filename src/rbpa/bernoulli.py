@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .combinat import binomial, factorial, int_pow, stirling2
+from .combinat import binomial, factorial, grown_order, int_pow, stirling2
 from .egf import Egf, exp_series, one
 
 MultiIndex = tuple  # tuple[int, ...], entries >= 0, length >= 1
@@ -111,12 +111,15 @@ def multi_poly_bernoulli(idx: Sequence[int], n: int) -> int:
     )
 
 
+@lru_cache(maxsize=None)
 def poly_bernoulli(k: int, n: int) -> Fraction:
     """B with a single upper index k, any sign.
 
     Stirling-reduced finite form sum_s (-1)^{n+s} s! {n brace s} / (s+1)^k;
     integral for k <= 0. Terms are added as ints; only a positive k
     makes them rational, and only then does the sum go through Fraction.
+    Cached: the convolution identities ask for the same few values
+    again and again.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -248,7 +251,8 @@ def _chain_power_rows(indices: tuple, t_max: int) -> tuple[int | Fraction, ...]:
     factor(t, k) is t^{-k}: an int for k <= 0 and a Fraction only for
     k > 0, so the sums stay in ints until a positive index makes a term
     rational. indices are the actual signed upper indices. Built depth
-    by depth with running prefix sums.
+    by depth with running prefix sums, so entry t never depends on
+    t_max and a shorter row is a slice of a longer one.
     """
 
     def factor(t: int, k: int) -> int | Fraction:
@@ -269,6 +273,10 @@ def _chain_power_rows(indices: tuple, t_max: int) -> tuple[int | Fraction, ...]:
     return tuple(chain)
 
 
+# indices -> t_max of the longest _chain_power_rows built for them
+_chain_orders: dict[tuple, int] = {}
+
+
 def u_stirling_sum(indices: Sequence[int], n: int) -> Fraction:
     """U for arbitrary signed upper indices, as a finite Stirling sum.
 
@@ -281,7 +289,7 @@ def u_stirling_sum(indices: Sequence[int], n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     b = len(idx)
-    chain = _chain_power_rows(idx, n + b)
+    chain = _chain_power_rows(idx, grown_order(_chain_orders, idx, n + b))
     total = 0
     for t in range(b, n + b + 1):
         total += (
@@ -338,10 +346,10 @@ def u_from_mu(idx: Sequence[int], n: int) -> int:
     )
 
 
-def corollary_convolution_check(j: int, b: int, n: int) -> bool:
-    """Does the b-position index (j, 0, ..., 0) split as a convolution?
+def corollary_convolution(j: int, b: int, n: int) -> tuple[int, Fraction]:
+    """Both sides of the split of the b-position index (j, 0, ..., 0).
 
-    Tests multi_poly_bernoulli((j, 0^{b-1}), n) against
+    Returns multi_poly_bernoulli((j, 0^{b-1}), n) and the convolution
     sum_s C(n,s) B^{(0^{b-1})}_s B^{(-j)}_{n-s}; the b = 1 edge reads
     the empty-index factor as [s = 0].
     """
@@ -358,7 +366,25 @@ def corollary_convolution_check(j: int, b: int, n: int) -> bool:
             zeros_factor = multi_poly_bernoulli((0,) * (b - 1), s)
         if zeros_factor:
             rhs += binomial(n, s) * zeros_factor * poly_bernoulli(-j, n - s)
+    return lhs, rhs
+
+
+def corollary_convolution_check(j: int, b: int, n: int) -> bool:
+    """Does the b-position index (j, 0, ..., 0) split as a convolution?"""
+    lhs, rhs = corollary_convolution(j, b, n)
     return lhs == rhs
+
+
+@lru_cache(maxsize=None)
+def _reciprocal_row(r: int, order: int) -> tuple[int, ...]:
+    """Coefficients 0..order of the reciprocal of e^{rm}/(2-e^m)."""
+    series = exp_series(r, order) * (2 * one(order) - exp_series(1, order)).reciprocal()
+    inverse = series.reciprocal()
+    return tuple(inverse.coeff_int(m) for m in range(order + 1))
+
+
+# r -> order of the longest _reciprocal_row built for it
+_reciprocal_orders: dict[int, int] = {}
 
 
 def reciprocal_coefficient(r: int, n: int) -> int:
@@ -366,9 +392,8 @@ def reciprocal_coefficient(r: int, n: int) -> int:
 
     The reciprocal of e^{rm}/(2-e^m) is (2-e^m)e^{-rm}; its n-th
     coefficient is (-1)^n W_r(n), which is how the W family shows up as
-    reciprocal coefficients.
+    reciprocal coefficients. Read from the longest row built for r.
     """
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
-    series = exp_series(r, n) * (2 * one(n) - exp_series(1, n)).reciprocal()
-    return series.reciprocal().coeff_int(n)
+    return _reciprocal_row(r, grown_order(_reciprocal_orders, r, n))[n]

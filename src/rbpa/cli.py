@@ -335,14 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _glue_index(argv: list[str]) -> list[str]:
-    # argparse reads "-2,0" as a flag, so fold `--index -2,0` into one token
+    # argparse reads "-2,0" as a flag, so fold `--index -2,0` into one token;
+    # a following `--name` is an option, not a value, and is left for
+    # argparse to report the missing index
     out = []
     skip = False
     for pos, token in enumerate(argv):
         if skip:
             skip = False
             continue
-        if token == "--index" and pos + 1 < len(argv):
+        if (
+            token == "--index"
+            and pos + 1 < len(argv)
+            and not argv[pos + 1].startswith("--")
+        ):
             out.append(f"--index={argv[pos + 1]}")
             skip = True
         else:

@@ -2,6 +2,8 @@
 
 Everything here returns plain Python ints. No floats anywhere; callers
 that need rationals wrap these in fractions.Fraction themselves.
+`grown_order` is the one growth rule of the build-once-then-slice row
+caches in `counts` and `bernoulli`.
 """
 
 from __future__ import annotations
@@ -63,3 +65,19 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial: n must be >= 0, got {n}")
     return math.factorial(n)
+
+
+def grown_order(orders: dict, key, n: int) -> int:
+    """Order at which to build or slice a cached row for a length-n request.
+
+    orders maps each key to the longest row built for it. A cold key is
+    built at exactly n; a request past the longest row rebuilds at
+    max(n, 2 * longest), so a sweep of growing requests costs a
+    logarithmic number of builds. The caller's row must be sliceable:
+    entry m may not depend on the order the row was built at.
+    """
+    longest = orders.get(key)
+    if longest is None or n > longest:
+        longest = n if longest is None else max(n, 2 * longest)
+        orders[key] = longest
+    return longest

@@ -12,14 +12,19 @@ j free sections, computed by four routes.
 Every route except p_recurrence reads generating-function rows through
 one row cache. `_p_row(r, j, order)` builds one truncated series per
 miss; `_p_values` serves each request for p^r_j(0..n) as a slice of the
-longest row built so far for (r, j), and on a longer request rebuilds
-at max(n, 2 * longest). Slicing is exact because coefficient n of
-e^{rm}/(2-e^m)^j does not depend on the truncation order. A cold
-(r, j) is built at exactly n, so a single table costs what it always
-did.
+longest row built so far for (r, j). The growth rule is
+`combinat.grown_order`, shared with the sliced rows in `bernoulli`: a
+cold (r, j) is built at exactly n, so a single table costs what it
+always did, and a longer request rebuilds at max(n, 2 * longest).
+Slicing is exact because coefficient n of e^{rm}/(2-e^m)^j does not
+depend on the truncation order.
 
-The sums over those rows stay in integers: the binomial shift keeps a
-running power, the double sum evaluates each shifted value once, and
+The sums over those rows stay in integers. A shifted value
+p^base_j(n) = sum_s C(n,s) base^s p^0_j(n-s) is a degree-n polynomial
+in base; `_shift_coeffs(j, n)` caches its coefficients once per (j, n)
+and `_shifted_value` evaluates it by Horner's rule, so the series and
+the double sum, which ask for many bases at one (j, n), pay the
+binomials once. The double sum evaluates each shifted value once, and
 the certified series is added as v_s * 2^(S-1-s) and rounded by one
 shift, so none of these sums builds a Fraction.
 
@@ -34,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .combinat import binomial, int_pow
+from .combinat import binomial, grown_order, int_pow
 from .egf import Egf, exp_series, one
 
 
@@ -92,11 +97,7 @@ _row_orders: dict[tuple[int, int], int] = {}
 
 def _p_values(r: int, j: int, n: int) -> tuple[int, ...]:
     """p^r_j(0..n), sliced from the longest cached row for (r, j)."""
-    longest = _row_orders.get((r, j))
-    if longest is None or n > longest:
-        longest = n if longest is None else max(n, 2 * longest)
-        _row_orders[(r, j)] = longest
-    return _p_row(r, j, longest)[: n + 1]
+    return _p_row(r, j, grown_order(_row_orders, (r, j), n))[: n + 1]
 
 
 def p_egf(r: int, j: int, n_max: int) -> SequenceTable:
@@ -127,21 +128,26 @@ def p_recurrence(r: int, j: int, n: int) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def _shift_coeffs(j: int, n: int) -> tuple[int, ...]:
+    """C(n,s) p^0_j(n-s) for s = 0..n: the coefficients of p^base_j(n) in base."""
+    row = _p_values(0, j, n)
+    return tuple(binomial(n, s) * row[n - s] for s in range(n + 1))
+
+
 def _shifted_value(base: int, j: int, n: int) -> int:
     """p^base_j(n) = sum_s C(n,s) base^s p^0_j(n-s).
 
     base can be large (it runs over the series index), so the value is
     assembled from the cached r = 0 row instead of building a fresh
-    generating function per base.
+    generating function per base: the polynomial in base is evaluated
+    by Horner's rule on coefficients cached per (j, n).
     """
     if j == 0:
         return int_pow(base, n)
-    row = _p_values(0, j, n)
     total = 0
-    power = 1
-    for s in range(n + 1):
-        total += binomial(n, s) * power * row[n - s]
-        power *= base
+    for coeff in reversed(_shift_coeffs(j, n)):
+        total = total * base + coeff
     return total
 
 
@@ -187,18 +193,16 @@ def _certify_truncation(r: int, j: int, n: int) -> TailCertificate:
     """
     e = 2 * (n + j + 1)
     cap = 64 * (n + j + r + 4)
+    power = (r + j + 7) ** e  # c^e for the current t
     for t in range(7, cap + 1):
-        c = r + j + t
-        if (
-            c ** e <= 2 ** t
-            and (c + 1) ** e <= 2 ** (t + 1)
-            and (c + 1) ** e <= 2 * c ** e
-        ):
+        nxt = (r + j + t + 1) ** e  # (c+1)^e, the next step's c^e
+        if power <= 1 << t and nxt <= 1 << (t + 1) and nxt <= power << 1:
             if t % 2 == 0:
-                bound = Fraction(4, 2 ** (t // 2))
+                bound = Fraction(4, 1 << (t // 2))
             else:
-                bound = Fraction(3, 2 ** ((t - 1) // 2))
+                bound = Fraction(3, 1 << ((t - 1) // 2))
             return TailCertificate(truncation_index=t, tail_bound=bound)
+        power = nxt
     raise CertificationFailureError(
         f"no truncation index up to {cap} certified for r={r}, j={j}, n={n}"
     )

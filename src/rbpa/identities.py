@@ -358,18 +358,7 @@ def _eval_eq9(bd):
 
 
 def _eval_cor(bd):
-    j, b, n = bd["j"], bd["b"], bd["n"]
-    lhs = bernoulli.multi_poly_bernoulli((j,) + (0,) * (b - 1), n)
-    rhs = Fraction(0)
-    for s in range(n + 1):
-        if b == 1:
-            zeros_factor = 1 if s == 0 else 0
-        else:
-            zeros_factor = bernoulli.multi_poly_bernoulli((0,) * (b - 1), s)
-        if zeros_factor:
-            rhs += (
-                binomial(n, s) * zeros_factor * bernoulli.poly_bernoulli(-j, n - s)
-            )
+    lhs, rhs = bernoulli.corollary_convolution(bd["j"], bd["b"], bd["n"])
     return lhs, _exact(rhs), None
 
 
@@ -803,7 +792,8 @@ def run_identity(
     """All checks for one identity, in lexicographic binding order.
 
     overrides replaces whole domain lists, e.g. {"n": [0, 1, 2]}; a bare
-    value is treated as a one-element list.
+    value is treated as a one-element list. A domain that leaves no
+    binding to check is a ValueError, never an empty (passing) report.
     """
     spec = REGISTRY.get(ident)
     domain = dict(spec.domain(profile))
@@ -833,6 +823,11 @@ def run_identity(
                 passed=lhs == rhs,
                 note=note,
             )
+        )
+    if not reports:
+        raise ValueError(
+            f"{ident}: no binding to check; the domain is empty or the "
+            f"constraint rejects every binding"
         )
     return reports
 

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbpa import bernoulli
+from rbpa.combinat import factorial, stirling2
+from rbpa.egf import exp_series, one
 from rbpa.bernoulli import (
     MuTable,
     as_multi_index,
@@ -168,6 +171,37 @@ def test_u_constant_term_is_the_chain_weight():
 def test_reciprocal_coefficient_alternates_w_values():
     for n in range(6):
         assert reciprocal_coefficient(3, n) == (-1) ** n * w_family(3, n)
+
+
+def test_sliced_rows_match_fresh_builds_in_any_order():
+    # after a cold start, shuffled sweeps read every value from a row
+    # built for a longer request; each must equal a build at exactly n
+    bernoulli._reciprocal_row.cache_clear()
+    bernoulli._reciprocal_orders.clear()
+    bernoulli._chain_power_rows.cache_clear()
+    bernoulli._chain_orders.clear()
+    rng = random.Random(11)
+    sweep = list(range(20))
+    for r in (0, 3, 5):
+        rng.shuffle(sweep)
+        for n in sweep:
+            series = exp_series(r, n) * (
+                2 * one(n) - exp_series(1, n)
+            ).reciprocal()
+            assert reciprocal_coefficient(r, n) == series.reciprocal().coeff_int(n)
+    for indices in [(-2,), (1,), (-1, -2), (2, -1), (-3, 0, 1)]:
+        rng.shuffle(sweep)
+        b = len(indices)
+        for n in sweep:
+            chain = bernoulli._chain_power_rows.__wrapped__(indices, n + b)
+            fresh = (-1) ** (n + 1) * sum(
+                chain[t]
+                * (-1) ** (t - b + 1)
+                * factorial(t - b)
+                * stirling2(n + 1, t - b + 1)
+                for t in range(b, n + b + 1)
+            )
+            assert u_stirling_sum(indices, n) == fresh
 
 
 def test_corollary_convolution_check():

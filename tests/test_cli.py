@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rbpa.cli import main
+from rbpa.cli import _glue_index, main
 
 
 def run(capsys, *argv):
@@ -54,6 +54,25 @@ def test_seq_u_rational_branch(capsys):
                        "--n-max", "1")
     assert code == 0
     assert json.loads(out)["values"] == [1, "-1/2"]
+
+
+def test_index_glues_only_a_value_token():
+    assert _glue_index(["--index", "-2,0", "--n-max", "3"]) == [
+        "--index=-2,0", "--n-max", "3",
+    ]
+    assert _glue_index(["--index", "--n-max", "3"]) == [
+        "--index", "--n-max", "3",
+    ]
+
+
+def test_seq_index_without_value_is_reported(capsys):
+    # the next flag used to be swallowed as the index, and the error
+    # then blamed the missing --n-max
+    with pytest.raises(SystemExit) as exc:
+        main(["seq", "--family", "B", "--index", "--n-max", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--index: expected one argument" in err
 
 
 def test_seq_missing_family_parameter(capsys):
@@ -162,6 +181,13 @@ def test_verify_cycle_window_too_short_is_a_usage_error(capsys, ident, n_max):
     assert code == 2
     assert out == ""
     assert err.startswith("rbpa: n_max must be >= 9")
+
+
+def test_verify_without_bindings_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "EQ9", "--set", "r=3", "--set", "b=4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("rbpa: EQ9: no binding to check")
 
 
 def test_verify_diagnostic_identity_does_not_fail_the_run(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbpa import counts
+from rbpa.combinat import binomial
 from rbpa.counts import (
     CertificationFailureError,
     SequenceTable,
@@ -25,6 +26,9 @@ from rbpa.egf import exp_series
 def clear_row_cache():
     counts._p_row.cache_clear()
     counts._row_orders.clear()
+    # the shift coefficients read rows through the row cache, so a stale
+    # entry would hide a row request from the miss counts below
+    counts._shift_coeffs.cache_clear()
 
 
 def test_known_rows():
@@ -194,3 +198,40 @@ def test_certified_round_equals_the_rational_partial_sum():
                 value, got_cert = p_series_certified(r, j, n)
                 assert got_cert == cert
                 assert value == reference
+
+
+@settings(deadline=None)
+@given(st.integers(0, 300), st.integers(0, 4), st.integers(0, 20))
+def test_shifted_value_equals_the_literal_binomial_sum(base, j, n):
+    literal = sum(
+        binomial(n, s) * base ** s * p_recurrence(0, j, n - s)
+        for s in range(n + 1)
+    )
+    assert counts._shifted_value(base, j, n) == literal
+
+
+def _certify_truncation_reference(r, j, n):
+    # the certificate search as first written: every power from scratch
+    e = 2 * (n + j + 1)
+    for t in range(7, 64 * (n + j + r + 4) + 1):
+        c = r + j + t
+        if (
+            c ** e <= 2 ** t
+            and (c + 1) ** e <= 2 ** (t + 1)
+            and (c + 1) ** e <= 2 * c ** e
+        ):
+            if t % 2 == 0:
+                bound = Fraction(4, 2 ** (t // 2))
+            else:
+                bound = Fraction(3, 2 ** ((t - 1) // 2))
+            return TailCertificate(truncation_index=t, tail_bound=bound)
+    raise AssertionError("reference search found no certificate")
+
+
+def test_certify_truncation_matches_the_reference_search():
+    for r in range(5):
+        for j in range(5):
+            for n in range(21):
+                assert counts._certify_truncation(r, j, n) == (
+                    _certify_truncation_reference(r, j, n)
+                )

@@ -159,6 +159,15 @@ def test_constraint_prunes_the_domain():
     assert {r.params["r"] for r in reports} == {5}
 
 
+def test_a_check_without_bindings_is_an_error():
+    # r >= 3+b rejects every binding at b = 4, r = 3; an empty report
+    # list would read as a pass
+    with pytest.raises(ValueError, match="EQ9"):
+        run_identity("EQ9", overrides={"r": 3, "b": 4})
+    with pytest.raises(ValueError, match="T3"):
+        run_identity("T3", overrides={"n": []})
+
+
 def test_coverage_table_lists_anchor_text():
     table = REGISTRY.coverage_table()
     by_id = {row["id"]: row for row in table}

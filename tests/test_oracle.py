@@ -115,6 +115,20 @@ def test_with_empty_symmetric_in_the_marked_pair():
         assert len(values) == 1
 
 
+def test_with_empty_matches_a_per_pair_filter():
+    # the shared tally must give what filtering every assignment per
+    # pair gives, for every ordered pair of distinct sections
+    for n in range(6):
+        for bars in range(5):
+            k = bars + 1
+            assignments = list(itertools.product(range(k), repeat=n))
+            for i, jj in itertools.permutations(range(k), 2):
+                naive = sum(
+                    1 for a in assignments if i not in a or jj not in a
+                )
+                assert oracle.enumerate_rbpa_with_empty(n, bars, i, jj) == naive
+
+
 def test_with_empty_validates():
     with pytest.raises(IndexError):
         oracle.enumerate_rbpa_with_empty(2, 3, 0, 4)

@@ -26,23 +26,27 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+# rows 0, 1, ... of the Stirling triangle built so far, grown by stirling2_row
+_stirling_rows: list[tuple[int, ...]] = [(1,)]
+
+
 @lru_cache(maxsize=None)
 def stirling2_row(n: int) -> tuple[int, ...]:
     """Row n of the Stirling set-number triangle: ({n,0}, {n,1}, ..., {n,n}).
 
-    Triangle recurrence {n,k} = k*{n-1,k} + {n-1,k-1}.
+    Triangle recurrence {n,k} = k*{n-1,k} + {n-1,k-1}. Rows are built
+    in a loop from the last one built so far, so a sweep to N costs
+    O(N^2) in total and no row nests a call for the row below it.
     """
     if n < 0:
         raise ValueError(f"stirling2_row: n must be >= 0, got {n}")
-    if n == 0:
-        return (1,)
-    prev = stirling2_row(n - 1)
-    row = []
-    for k in range(n + 1):
-        up = prev[k] if k < n else 0
-        left = prev[k - 1] if k >= 1 else 0
-        row.append(k * up + left)
-    return tuple(row)
+    for m in range(len(_stirling_rows), n + 1):
+        prev = _stirling_rows[-1]
+        _stirling_rows.append(tuple(
+            (k * prev[k] if k < m else 0) + (prev[k - 1] if k >= 1 else 0)
+            for k in range(m + 1)
+        ))
+    return _stirling_rows[n]
 
 
 def stirling2(n: int, k: int) -> int:

@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+from rbpa import combinat
 from rbpa.combinat import binomial, factorial, int_pow, stirling2, stirling2_row
 
 
@@ -27,6 +30,23 @@ def test_stirling2_rows():
     assert stirling2_row(1) == (0, 1)
     assert stirling2_row(4) == (0, 1, 7, 6, 1)
     assert stirling2_row(5) == (0, 1, 15, 25, 10, 1)
+
+
+def test_cold_stirling_row_needs_no_deep_recursion():
+    combinat.stirling2_row.cache_clear()
+    del combinat._stirling_rows[1:]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        n = 1500
+        row = stirling2_row(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(row) == n + 1
+    assert row[1] == 1
+    assert row[2] == 2 ** (n - 1) - 1
+    assert row[n - 1] == binomial(n, 2)
+    assert stirling2_row.cache_info().misses == 1
 
 
 def test_stirling2_out_of_range_is_zero():

@@ -116,3 +116,61 @@ def test_product_commutes(a, b):
     n = min(len(a), len(b))
     f, g = series(a[:n]), series(b[:n])
     assert (f * g).coeffs == (g * f).coeffs
+
+
+def pow_by_mul(f, k):
+    by_mul = one(f.order)
+    for _ in range(k):
+        by_mul = by_mul * f
+    return by_mul
+
+
+small_orders = st.integers(0, 12).flatmap(
+    lambda order: st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        min_size=order + 1,
+        max_size=order + 1,
+    )
+)
+
+
+@given(small_orders, st.integers(0, 9), st.booleans())
+def test_pow_equals_the_k_fold_product(coeffs, k, zero_head):
+    if zero_head:
+        coeffs = [0] + coeffs[1:]
+    f = series(coeffs)
+    assert (f ** k).coeffs == pow_by_mul(f, k).coeffs
+
+
+@given(small_orders, st.booleans())
+def test_square_equals_the_general_product(coeffs, zero_head):
+    if zero_head:
+        coeffs = [0] + coeffs[1:]
+    f = series(coeffs)
+    assert f._square().coeffs == (f * f).coeffs
+
+
+def test_pow_makes_only_the_products_it_reads(monkeypatch):
+    # k -> (general products, squarings): popcount(k) - 1 and bit_length(k) - 1
+    expected = {1: (0, 0), 2: (0, 1), 3: (1, 1), 4: (0, 2),
+                5: (1, 2), 6: (1, 2), 7: (2, 2), 8: (0, 3)}
+    calls = {"mul": 0, "square": 0}
+    mul, square = Egf.__mul__, Egf._square
+
+    def counting_mul(self, other):
+        if isinstance(other, Egf):
+            calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_square(self):
+        calls["square"] += 1
+        return square(self)
+
+    monkeypatch.setattr(Egf, "__mul__", counting_mul)
+    monkeypatch.setattr(Egf, "_square", counting_square)
+    f = series([1, 2, 0, -1, 5])
+    for k, (muls, squares) in expected.items():
+        calls.update(mul=0, square=0)
+        f ** k
+        assert (calls["mul"], calls["square"]) == (muls, squares), k
+    assert f ** 1 is f

@@ -163,8 +163,7 @@ def _z_power_rows(order: int) -> tuple[tuple[int, ...], ...]:
     """Coefficient rows of (1 - e^{-m})^p for p = 0..order.
 
     Row p starts at order p, so higher powers never reach coefficient
-    n <= order and are not needed. Entry [p][n] does not depend on the
-    order, so a longer table answers every request a shorter one would.
+    n <= order and are not needed.
     """
     z = one(order) - exp_series(-1, order)
     rows = []
@@ -175,19 +174,10 @@ def _z_power_rows(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-# order of the longest _z_power_rows table built, under the key None
-_z_orders: dict[None, int] = {}
-
-
-def _z_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The longest _z_power_rows table built so far, grown to reach order n."""
-    return _z_power_rows(grown_order(_z_orders, None, n))
-
-
 def _z_coeff(p: int, n: int) -> int:
     if p > n:
         return 0
-    return _z_rows(n)[p][n]
+    return _z_power_rows(n)[p][n]
 
 
 def multi_poly_bernoulli_li_oracle(idx: Sequence[int], n: int) -> int:
@@ -232,7 +222,7 @@ def multi_poly_bernoulli_li_sequence(idx: Sequence[int], n_max: int) -> tuple[in
             running += chain[t - 1]
             nxt[t] = int_pow(t, idx[depth]) * running
         chain = nxt
-    rows = _z_rows(n_max)
+    rows = _z_power_rows(n_max)
     values = []
     for n in range(n_max + 1):
         total = 0

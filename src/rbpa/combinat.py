@@ -26,8 +26,9 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# rows 0, 1, ... of the Stirling triangle built so far, grown by stirling2_row
-_stirling_rows: list[tuple[int, ...]] = [(1,)]
+# rows 0, 1, ... of the Stirling triangle built so far, keyed by n and
+# grown by stirling2_row; the keys are always 0..len - 1
+_stirling_rows: dict[int, tuple[int, ...]] = {0: (1,)}
 
 
 @lru_cache(maxsize=None)
@@ -35,14 +36,16 @@ def stirling2_row(n: int) -> tuple[int, ...]:
     """Row n of the Stirling set-number triangle: ({n,0}, {n,1}, ..., {n,n}).
 
     Triangle recurrence {n,k} = k*{n-1,k} + {n-1,k-1}. Rows are built
-    in a loop from the last one built so far, so a sweep to N costs
-    O(N^2) in total and no row nests a call for the row below it.
+    in a loop, row m from row m - 1, so a sweep to N costs O(N^2) in total
+    and no row nests a call for the row below it. Row m is stored with
+    setdefault under key m, so a thread that builds it second keeps the
+    first copy and no row lands under another row's key.
     """
     if n < 0:
         raise ValueError(f"stirling2_row: n must be >= 0, got {n}")
     for m in range(len(_stirling_rows), n + 1):
-        prev = _stirling_rows[-1]
-        _stirling_rows.append(tuple(
+        prev = _stirling_rows[m - 1]
+        _stirling_rows.setdefault(m, tuple(
             (k * prev[k] if k < m else 0) + (prev[k - 1] if k >= 1 else 0)
             for k in range(m + 1)
         ))

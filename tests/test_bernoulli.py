@@ -173,25 +173,6 @@ def test_reciprocal_coefficient_alternates_w_values():
         assert reciprocal_coefficient(3, n) == (-1) ** n * w_family(3, n)
 
 
-def test_z_power_table_is_built_once_and_sliced():
-    # a shuffled sweep of z coefficients reads every n from the longest
-    # table built so far; each must equal a table built at exactly n
-    bernoulli._z_power_rows.cache_clear()
-    bernoulli._z_orders.clear()
-    sweep = list(range(30))
-    random.Random(7).shuffle(sweep)
-    values = {
-        n: [bernoulli._z_coeff(p, n) for p in range(n + 1)] for n in sweep
-    }
-    # n = 21 builds cold at 21, then n = 29 rebuilds at 2 * 21; one table
-    # per distinct n would be 30 misses
-    assert bernoulli._z_power_rows.cache_info().misses == 2
-    assert bernoulli._z_orders == {None: 42}
-    for n in range(30):
-        fresh = bernoulli._z_power_rows.__wrapped__(n)
-        assert values[n] == [fresh[p][n] for p in range(n + 1)]
-
-
 def test_sliced_rows_match_fresh_builds_in_any_order():
     # after a cold start, shuffled sweeps read every value from a row
     # built for a longer request; each must equal a build at exactly n

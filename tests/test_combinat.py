@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,7 +35,8 @@ def test_stirling2_rows():
 
 def test_cold_stirling_row_needs_no_deep_recursion():
     combinat.stirling2_row.cache_clear()
-    del combinat._stirling_rows[1:]
+    combinat._stirling_rows.clear()
+    combinat._stirling_rows[0] = (1,)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
@@ -47,6 +49,37 @@ def test_cold_stirling_row_needs_no_deep_recursion():
     assert row[2] == 2 ** (n - 1) - 1
     assert row[n - 1] == binomial(n, 2)
     assert stirling2_row.cache_info().misses == 1
+
+
+def test_cold_stirling_rows_built_by_racing_threads_stay_in_place():
+    combinat.stirling2_row.cache_clear()
+    combinat._stirling_rows.clear()
+    combinat._stirling_rows[0] = (1,)
+    n = 300
+    start = threading.Barrier(4)
+    rows = []
+
+    def build():
+        start.wait()
+        rows.append(stirling2_row.__wrapped__(n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the row loop
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == [combinat._stirling_rows[n]] * 4
+    assert sorted(combinat._stirling_rows) == list(range(n + 1))
+    for m in range(1, n + 1):
+        row = combinat._stirling_rows[m]
+        assert len(row) == m + 1
+        assert row[m] == 1
+        assert row[m - 1] == binomial(m, 2)
 
 
 def test_stirling2_out_of_range_is_zero():

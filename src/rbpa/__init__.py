@@ -1,6 +1,12 @@
 """Exact counting of restricted barred preferential arrangements and
 the poly-Bernoulli / U number families attached to them, with every
-claimed identity wired to an executable check."""
+claimed identity wired to an executable check.
+
+`import rbpa` loads only the computing core (`combinat`, `egf`,
+`counts`, `bernoulli`). The identity registry and the brute-force
+oracle load on first use: their exported names, and the submodules
+themselves, resolve through the module `__getattr__` below.
+"""
 
 from .combinat import binomial, int_pow, stirling2
 from .counts import (
@@ -34,13 +40,18 @@ from .egf import (
     OrderMismatchError,
     ZeroConstantTermError,
 )
-from .oracle import (
-    SizeLimitError,
-    enumerate_preferential_arrangements,
-    enumerate_rbpa,
-    enumerate_rbpa_with_empty,
-)
-from .identities import CheckReport, Summary, run_all, run_identity
+
+# name -> submodule that defines it, imported on first access
+_LAZY = {
+    "CheckReport": "identities",
+    "Summary": "identities",
+    "run_all": "identities",
+    "run_identity": "identities",
+    "SizeLimitError": "oracle",
+    "enumerate_preferential_arrangements": "oracle",
+    "enumerate_rbpa": "oracle",
+    "enumerate_rbpa_with_empty": "oracle",
+}
 
 __all__ = [
     "CertificationFailureError",
@@ -80,3 +91,21 @@ __all__ = [
     "u_via_shift",
     "w_family",
 ]
+
+
+def __getattr__(name: str):
+    import importlib
+
+    if name in _LAZY.values():
+        # importing a submodule binds it in this namespace, so this runs once
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -12,11 +12,15 @@ Three independent routes to the same numbers live here:
 * a truncated expansion in powers of 1 - e^{-m} ("li oracle"),
 * for the U variant, a finite Stirling-weighted sum and the binomial
   shift of the B values.
+
+Every public B and U route takes n and each index entry through
+`operator.index`, so a float or a string is a TypeError, never a
+truncated value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -24,12 +28,13 @@ from typing import Sequence
 
 from .combinat import binomial, factorial, grown_order, int_pow, stirling2
 from .egf import Egf, exp_series, one
+from .record import FrozenRecord
 
 MultiIndex = tuple  # tuple[int, ...], entries >= 0, length >= 1
 
 
 def as_multi_index(entries: Sequence[int]) -> MultiIndex:
-    idx = tuple(int(e) for e in entries)
+    idx = tuple(operator.index(e) for e in entries)
     if not idx:
         raise ValueError("a multi-index needs at least one entry")
     if any(e < 0 for e in idx):
@@ -37,8 +42,7 @@ def as_multi_index(entries: Sequence[int]) -> MultiIndex:
     return idx
 
 
-@dataclass(frozen=True)
-class MuTable:
+class MuTable(FrozenRecord):
     """Signed integer weights mu_0..mu_j attached to one multi-index.
 
     The represented number family is sum_s mu_s (s+b)^n, b = len(index).
@@ -46,18 +50,22 @@ class MuTable:
     the entry sum.
     """
 
-    index: MultiIndex
-    weight: int
-    coefficients: tuple[int, ...]
+    _fields = ("index", "weight", "coefficients")
 
-    def __post_init__(self) -> None:
-        if self.weight != sum(self.index):
+    def __init__(
+        self, index: MultiIndex, weight: int, coefficients: tuple[int, ...]
+    ) -> None:
+        if weight != sum(index):
             raise ValueError("weight must equal the entry sum")
-        if len(self.coefficients) != self.weight + 1:
+        if len(coefficients) != weight + 1:
             raise ValueError("need exactly weight+1 coefficients")
-        expected_head = 1 if all(e == 0 for e in self.index) else 0
-        if self.coefficients[0] != expected_head:
-            raise ValueError(f"mu_0 must be {expected_head} for {self.index}")
+        expected_head = 1 if all(e == 0 for e in index) else 0
+        if coefficients[0] != expected_head:
+            raise ValueError(f"mu_0 must be {expected_head} for {index}")
+        fields = self.__dict__
+        fields["index"] = index
+        fields["weight"] = weight
+        fields["coefficients"] = coefficients
 
 
 def _increment_last(coeffs: tuple[int, ...], b: int) -> tuple[int, ...]:
@@ -99,6 +107,7 @@ def multi_poly_bernoulli(idx: Sequence[int], n: int) -> int:
     generating function is e^{bm}).
     """
     idx = as_multi_index(idx)
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     b = len(idx)
@@ -111,7 +120,7 @@ def multi_poly_bernoulli(idx: Sequence[int], n: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def poly_bernoulli(k: int, n: int) -> Fraction:
     """B with a single upper index k, any sign.
 
@@ -119,8 +128,10 @@ def poly_bernoulli(k: int, n: int) -> Fraction:
     integral for k <= 0. Terms are added as ints; only a positive k
     makes them rational, and only then does the sum go through Fraction.
     Cached: the convolution identities ask for the same few values
-    again and again.
+    again and again. The cache is typed, so a float equal to an int
+    never hits the int's entry.
     """
+    k, n = operator.index(k), operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     total = 0
@@ -188,6 +199,7 @@ def multi_poly_bernoulli_li_oracle(idx: Sequence[int], n: int) -> int:
     larger s_b contributes a series starting past order n.
     """
     idx = as_multi_index(idx)
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     b = len(idx)
@@ -209,6 +221,7 @@ def multi_poly_bernoulli_li_sequence(idx: Sequence[int], n_max: int) -> tuple[in
     window sizes the last-digit checks use.
     """
     idx = as_multi_index(idx)
+    n_max = operator.index(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     b = len(idx)
@@ -234,6 +247,7 @@ def multi_poly_bernoulli_li_sequence(idx: Sequence[int], n_max: int) -> tuple[in
 
 def w_family(r: int, n: int) -> int:
     """W_r(n) = 2 r^n - (r-1)^n, the two-free-choices closed form."""
+    r, n = operator.index(r), operator.index(n)
     if r < 1:
         raise ValueError("w_family needs r >= 1")
     if n < 0:
@@ -283,7 +297,8 @@ def u_stirling_sum(indices: Sequence[int], n: int) -> Fraction:
     (-1)^{n+1} sum_{t=b}^{n+b} T_b(t) (-1)^{t-b+1} (t-b)! {n+1 brace t-b+1},
     with T_b the chain sums over increasing tuples ending at t.
     """
-    idx = tuple(int(e) for e in indices)
+    idx = tuple(operator.index(e) for e in indices)
+    n = operator.index(n)
     if not idx:
         raise ValueError("need at least one index entry")
     if n < 0:
@@ -319,6 +334,7 @@ def u_via_shift(idx: Sequence[int], n: int) -> int:
     into sum_s C(n,s)(-1)^{n-s} B_s.
     """
     idx = as_multi_index(idx)
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     return sum(
@@ -334,6 +350,7 @@ def u_from_mu(idx: Sequence[int], n: int) -> int:
     one; the all-zero index gives (b-1)^n.
     """
     idx = as_multi_index(idx)
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     b = len(idx)
@@ -394,6 +411,7 @@ def reciprocal_coefficient(r: int, n: int) -> int:
     coefficient is (-1)^n W_r(n), which is how the W family shows up as
     reciprocal coefficients. Read from the longest row built for r.
     """
+    r, n = operator.index(r), operator.index(n)
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     return _reciprocal_row(r, grown_order(_reciprocal_orders, r, n))[n]

@@ -28,38 +28,42 @@ binomials once. The double sum evaluates each shifted value once, and
 the certified series is added as v_s * 2^(S-1-s) and rounded by one
 shift, so none of these sums builds a Fraction.
 
+Every public route takes r, j and n through `operator.index`, so a
+float or a string is a TypeError, never a truncated or float value.
 Cross-checks between the routes live in the identity registry; this
 module only computes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 from .combinat import binomial, grown_order, int_pow
 from .egf import Egf, exp_series, one
+from .record import FrozenRecord
 
 
 class CertificationFailureError(ArithmeticError):
     """No truncation index satisfied the tail criterion below the cap."""
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(FrozenRecord):
     """Values p^r_j(0..n_max) for one (r, j) family."""
 
-    r: int
-    j: int
-    values: tuple[int, ...]
+    _fields = ("r", "j", "values")
 
-    def __post_init__(self) -> None:
-        if not self.values or self.values[0] != 1:
+    def __init__(self, r: int, j: int, values: tuple[int, ...]) -> None:
+        if not values or values[0] != 1:
             raise ValueError("p(0) must be 1")
-        if any(v < 0 for v in self.values):
+        if any(v < 0 for v in values):
             raise ValueError("family values are counts, must be >= 0")
+        fields = self.__dict__
+        fields["r"] = r
+        fields["j"] = j
+        fields["values"] = values
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
@@ -68,16 +72,17 @@ class SequenceTable:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class TailCertificate:
+class TailCertificate(FrozenRecord):
     """Proof record that a series truncation loses less than 1/2."""
 
-    truncation_index: int
-    tail_bound: Fraction
+    _fields = ("truncation_index", "tail_bound")
 
-    def __post_init__(self) -> None:
-        if not self.tail_bound < Fraction(1, 2):
+    def __init__(self, truncation_index: int, tail_bound: Fraction) -> None:
+        if not tail_bound < Fraction(1, 2):
             raise ValueError("tail bound must be < 1/2 for exact rounding")
+        fields = self.__dict__
+        fields["truncation_index"] = truncation_index
+        fields["tail_bound"] = tail_bound
 
 
 def two_minus_exp(order: int) -> Egf:
@@ -102,6 +107,7 @@ def _p_values(r: int, j: int, n: int) -> tuple[int, ...]:
 
 def p_egf(r: int, j: int, n_max: int) -> SequenceTable:
     """p^r_j(0..n_max) via the generating function e^{rm}/(2-e^m)^j."""
+    r, j, n_max = operator.index(r), operator.index(j), operator.index(n_max)
     if r < 0 or j < 0 or n_max < 0:
         raise ValueError("r, j, n_max must be >= 0")
     return SequenceTable(r=r, j=j, values=_p_values(r, j, n_max))
@@ -109,14 +115,20 @@ def p_egf(r: int, j: int, n_max: int) -> SequenceTable:
 
 def p_binomial_shift(r: int, j: int, n: int) -> int:
     """p^r_j(n) = sum_s C(n,s) r^s p^0_j(n-s)."""
+    r, j, n = operator.index(r), operator.index(j), operator.index(n)
     if r < 0 or j < 0 or n < 0:
         raise ValueError("r, j, n must be >= 0")
     return _shifted_value(r, j, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def p_recurrence(r: int, j: int, n: int) -> int:
-    """p^r_j(n) = p^r_{j-1}(n) + sum_{s<n} C(n,s) p^r_j(s), base p^r_0 = r^n."""
+    """p^r_j(n) = p^r_{j-1}(n) + sum_{s<n} C(n,s) p^r_j(s), base p^r_0 = r^n.
+
+    The cache is typed, so a float argument equal to an int never hits
+    the int's entry and is refused by the check below.
+    """
+    r, j, n = operator.index(r), operator.index(j), operator.index(n)
     if r < 0 or j < 0 or n < 0:
         raise ValueError("r, j, n must be >= 0")
     if j == 0:
@@ -159,6 +171,7 @@ def p_double_sum(r: int, j: int, n: int) -> int:
     vanish; the outer sum is truncated at k = n and the next three
     inner sums are recomputed and checked to be zero.
     """
+    r, j, n = operator.index(r), operator.index(j), operator.index(n)
     if j < 1:
         raise ValueError("the double-sum form needs j >= 1")
     if r < 0 or n < 0:
@@ -230,6 +243,7 @@ def p_series_certified(r: int, j: int, n: int) -> tuple[int, TailCertificate]:
     Sums the series exactly up to a certified truncation index and
     rounds; the certificate's bound < 1/2 makes the rounding exact.
     """
+    r, j, n = operator.index(r), operator.index(j), operator.index(n)
     if j < 1:
         raise ValueError("the series form needs j >= 1")
     if r < 0 or n < 0:
@@ -248,6 +262,7 @@ def p_inclusion_exclusion(r: int, j: int, n: int) -> int:
     p^r_{j-r}(n), the count with all r marked sections restricted, only
     for r = 1.
     """
+    r, j, n = operator.index(r), operator.index(j), operator.index(n)
     if not 1 <= r <= j:
         raise ValueError("need 1 <= r <= j")
     if n < 0:

@@ -14,11 +14,11 @@ about half the terms of a general product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .combinat import binomial
+from .record import FrozenRecord
 
 Scalar = Union[int, Fraction]
 
@@ -35,22 +35,20 @@ class NotAnIntegerError(ValueError):
     """An integer coefficient was requested but the value is a proper fraction."""
 
 
-@dataclass(frozen=True)
-class Egf:
-    order: int
-    coeffs: tuple[Fraction, ...]
+class Egf(FrozenRecord):
+    _fields = ("order", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, order: int, coeffs: tuple[Fraction, ...]) -> None:
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
+        if len(coeffs) != order + 1:
             raise ValueError(
-                f"need {self.order + 1} coefficients for order {self.order}, "
-                f"got {len(self.coeffs)}"
+                f"need {order + 1} coefficients for order {order}, "
+                f"got {len(coeffs)}"
             )
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+        fields = self.__dict__
+        fields["order"] = order
+        fields["coeffs"] = tuple(Fraction(c) for c in coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Scalar]) -> "Egf":

@@ -11,7 +11,6 @@ holds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -20,6 +19,7 @@ from . import bernoulli, counts, oracle
 from .combinat import binomial, int_pow
 from .counts import _certify_truncation, certified_round, p_egf, p_recurrence
 from .egf import exp_series
+from .record import FrozenRecord
 
 
 class UnknownIdentityError(KeyError):
@@ -63,14 +63,25 @@ def _exact(value):
     return value
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    identity: str
-    params: dict
-    lhs: object
-    rhs: object
-    passed: bool
-    note: Optional[str] = None
+class CheckReport(FrozenRecord):
+    _fields = ("identity", "params", "lhs", "rhs", "passed", "note")
+
+    def __init__(
+        self,
+        identity: str,
+        params: dict,
+        lhs: object,
+        rhs: object,
+        passed: bool,
+        note: Optional[str] = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["identity"] = identity
+        fields["params"] = params
+        fields["lhs"] = lhs
+        fields["rhs"] = rhs
+        fields["passed"] = passed
+        fields["note"] = note
 
     def as_dict(self) -> dict:
         return {
@@ -83,16 +94,30 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
-    ident: str
-    anchor: str  # the mathematical statement being checked
-    lhs_method: str
-    rhs_method: str
-    domain: Callable[[str], dict]
-    evaluate: Callable[[dict], tuple]  # binding -> (lhs, rhs, note)
-    diagnostic: bool = False
-    constraint: Optional[Callable[..., bool]] = None
+class IdentitySpec(FrozenRecord):
+    _fields = ("ident", "anchor", "lhs_method", "rhs_method", "domain",
+               "evaluate", "diagnostic", "constraint")
+
+    def __init__(
+        self,
+        ident: str,
+        anchor: str,  # the mathematical statement being checked
+        lhs_method: str,
+        rhs_method: str,
+        domain: Callable[[str], dict],
+        evaluate: Callable[[dict], tuple],  # binding -> (lhs, rhs, note)
+        diagnostic: bool = False,
+        constraint: Optional[Callable[..., bool]] = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["ident"] = ident
+        fields["anchor"] = anchor
+        fields["lhs_method"] = lhs_method
+        fields["rhs_method"] = rhs_method
+        fields["domain"] = domain
+        fields["evaluate"] = evaluate
+        fields["diagnostic"] = diagnostic
+        fields["constraint"] = constraint
 
 
 class Registry:
@@ -832,16 +857,30 @@ def run_identity(
     return reports
 
 
-@dataclass(frozen=True)
-class Summary:
-    profile: str
-    identities: int
-    checks: int
-    passed: int
-    failed: int
-    flagged: int
-    failures: tuple
-    diagnostics: tuple
+class Summary(FrozenRecord):
+    _fields = ("profile", "identities", "checks", "passed", "failed",
+               "flagged", "failures", "diagnostics")
+
+    def __init__(
+        self,
+        profile: str,
+        identities: int,
+        checks: int,
+        passed: int,
+        failed: int,
+        flagged: int,
+        failures: tuple,
+        diagnostics: tuple,
+    ) -> None:
+        fields = self.__dict__
+        fields["profile"] = profile
+        fields["identities"] = identities
+        fields["checks"] = checks
+        fields["passed"] = passed
+        fields["failed"] = failed
+        fields["flagged"] = flagged
+        fields["failures"] = failures
+        fields["diagnostics"] = diagnostics
 
     @property
     def exit_code(self) -> int:

@@ -34,6 +34,55 @@ def test_as_multi_index_validates():
         as_multi_index([])
     with pytest.raises(ValueError):
         as_multi_index([1, -1])
+    with pytest.raises(TypeError):
+        as_multi_index([2.7])
+
+
+def test_multi_poly_bernoulli_refuses_a_float_entry():
+    # int() would truncate the entry to 2 and give this value, 46
+    assert multi_poly_bernoulli((2,), 3) == 46
+    with pytest.raises(TypeError):
+        multi_poly_bernoulli((2.7,), 3)
+
+
+def test_u_number_refuses_a_float_entry():
+    # int() would truncate the entry to 1
+    with pytest.raises(TypeError):
+        u_number((1.9,), 3)
+
+
+def test_u_stirling_sum_refuses_a_string_entry():
+    # int() would parse the string and give 151/216
+    with pytest.raises(TypeError):
+        u_stirling_sum(("3",), 2)
+
+
+def test_poly_bernoulli_refuses_an_integral_float_with_a_warm_cache():
+    assert poly_bernoulli(-2, 3) == 46
+    with pytest.raises(TypeError):
+        poly_bernoulli(-2.0, 3)
+    with pytest.raises(TypeError):
+        poly_bernoulli(-2, 3.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: multi_poly_bernoulli((2,), 3.0),
+    lambda: multi_poly_bernoulli_li_oracle((2.0,), 3),
+    lambda: multi_poly_bernoulli_li_oracle((2,), 3.0),
+    lambda: multi_poly_bernoulli_li_sequence((2,), 3.0),
+    lambda: u_number((1,), 3.0),
+    lambda: u_via_shift((1.0,), 3),
+    lambda: u_via_shift((1,), 3.0),
+    lambda: u_from_mu((1.0,), 3),
+    lambda: u_from_mu((1,), 3.0),
+    lambda: u_stirling_sum((-1,), 3.0),
+    lambda: w_family(2.0, 3),
+    lambda: w_family(2, 3.0),
+    lambda: reciprocal_coefficient(2.0, 3),
+])
+def test_b_and_u_routes_refuse_non_integers(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_poly_bernoulli_closed_forms():

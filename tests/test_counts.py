@@ -235,3 +235,34 @@ def test_certify_truncation_matches_the_reference_search():
                 assert counts._certify_truncation(r, j, n) == (
                     _certify_truncation_reference(r, j, n)
                 )
+
+
+def test_p_recurrence_refuses_a_non_integer():
+    # without the check the recursion runs on floats and gives 69.875
+    with pytest.raises(TypeError):
+        p_recurrence(2.5, 1, 3)
+
+
+def test_p_recurrence_refuses_an_integral_float_with_a_warm_cache():
+    # lru_cache keys 2.0 and 2 alike, so the int's entry must not answer
+    assert p_recurrence(2, 1, 3) == 51
+    with pytest.raises(TypeError):
+        p_recurrence(2.0, 1, 3)
+    assert p_recurrence(2, 1, 3) == 51
+
+
+def test_p_egf_refuses_a_non_integer_with_a_type_error():
+    # not NotAnIntegerError from deep inside the series arithmetic
+    with pytest.raises(TypeError):
+        p_egf(2.5, 1, 3)
+
+
+@pytest.mark.parametrize("route", [
+    p_egf, p_recurrence, p_binomial_shift, p_double_sum, p_series_certified,
+    p_inclusion_exclusion,
+])
+@pytest.mark.parametrize("bad", [(1.0, 1, 3), (1, 1.0, 3), (1, 1, 3.0),
+                                 (1, 1, "3"), (Fraction(1), 1, 3)])
+def test_every_p_route_refuses_non_integers(route, bad):
+    with pytest.raises(TypeError):
+        route(*bad)

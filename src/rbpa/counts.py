@@ -24,9 +24,12 @@ p^base_j(n) = sum_s C(n,s) base^s p^0_j(n-s) is a degree-n polynomial
 in base; `_shift_coeffs(j, n)` caches its coefficients once per (j, n)
 and `_shifted_value` evaluates it by Horner's rule, so the series and
 the double sum, which ask for many bases at one (j, n), pay the
-binomials once. The double sum evaluates each shifted value once, and
-the certified series is added as v_s * 2^(S-1-s) and rounded by one
-shift, so none of these sums builds a Fraction.
+binomials once. The double sum evaluates each shifted value once. The
+certified series never evaluates a term: its scaled partial sum
+sum_{s<S} v_s * 2^(S-1-s) is a combination of the power moments
+sum_{s<S} (r+s)^k * 2^(S-1-s), k <= n, which obey a recurrence in k,
+so it costs O(n^2) integer operations whatever the truncation index S
+and is rounded by one shift. None of these sums builds a Fraction.
 
 Every public route takes r, j and n through `operator.index`, so a
 float or a string is a TypeError, never a truncated or float value.
@@ -142,7 +145,12 @@ def p_recurrence(r: int, j: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _shift_coeffs(j: int, n: int) -> tuple[int, ...]:
-    """C(n,s) p^0_j(n-s) for s = 0..n: the coefficients of p^base_j(n) in base."""
+    """C(n,s) p^0_j(n-s) for s = 0..n: the coefficients of p^base_j(n) in base.
+
+    At j = 0 the polynomial is base^n, so no row is built.
+    """
+    if j == 0:
+        return (0,) * n + (1,)
     row = _p_values(0, j, n)
     return tuple(binomial(n, s) * row[n - s] for s in range(n + 1))
 
@@ -202,12 +210,18 @@ def _certify_truncation(r: int, j: int, n: int) -> TailCertificate:
     form at s = S and S+1 together with the ratio condition
     (c+1)^e <= 2 c^e, which makes it persist for every s >= S. The
     geometric tail is then < 4 * 2^{-S/2}, recorded as a slightly
-    rounded-up rational.
+    rounded-up rational. The exact search starts where the first test
+    can first hold by bit length, so S and its bound are unchanged.
     """
     e = 2 * (n + j + 1)
     cap = 64 * (n + j + r + 4)
-    power = (r + j + 7) ** e  # c^e for the current t
-    for t in range(7, cap + 1):
+    # c^e >= 2^(e*(bit_length(c)-1)), so no t below the first one with
+    # e*(bit_length(c)-1) <= t can pass c^e <= 2^t
+    start = 7
+    while (need := e * ((r + j + start).bit_length() - 1)) > start:
+        start = need
+    power = (r + j + start) ** e  # c^e for the current t
+    for t in range(start, cap + 1):
         nxt = (r + j + t + 1) ** e  # (c+1)^e, the next step's c^e
         if power <= 1 << t and nxt <= 1 << (t + 1) and nxt <= power << 1:
             if t % 2 == 0:
@@ -237,11 +251,41 @@ def certified_round(term: Callable[[int], int], cert: TailCertificate) -> int:
     return (2 * total + (1 << t)) >> (t + 1)
 
 
+def _polynomial_round(
+    coeffs: tuple[int, ...], base: int, cert: TailCertificate
+) -> int:
+    """certified_round(lambda s: sum_k coeffs[k] (base+s)^k, cert), by moments.
+
+    The scaled partial sum sum_{s<S} v(s) 2^(S-1-s) is sum_k coeffs[k] A_k
+    with A_k = sum_{s<S} (base+s)^k 2^(S-1-s). Shifting s by one gives
+    A_k = base^k 2^S - (base+S)^k + sum_{i<k} C(k,i) A_i, so the moments
+    cost O(k^2) integer operations for any S and the rounding is the
+    same single shift.
+    """
+    t = cert.truncation_index
+    moments: list[int] = []
+    pascal = [1]  # C(k, 0..k) for the current k
+    low, high = 1, 1  # base^k and (base+S)^k
+    total = 0
+    for coeff in coeffs:
+        moment = (low << t) - high + sum(
+            c * a for c, a in zip(pascal, moments)
+        )
+        moments.append(moment)
+        total += coeff * moment
+        pascal = [1, *(a + b for a, b in zip(pascal, pascal[1:])), 1]
+        low *= base
+        high *= base + t
+    return (2 * total + (1 << t)) >> (t + 1)
+
+
 def p_series_certified(r: int, j: int, n: int) -> tuple[int, TailCertificate]:
     """p^r_j(n) = (1/2) sum_{s>=0} p^{r+s}_{j-1}(n) / 2^s, j >= 1.
 
     Sums the series exactly up to a certified truncation index and
-    rounds; the certificate's bound < 1/2 makes the rounding exact.
+    rounds; the certificate's bound < 1/2 makes the rounding exact. The
+    partial sum is taken from power moments (`_polynomial_round`), and
+    equals `certified_round` over the terms p^{r+s}_{j-1}(n).
     """
     r, j, n = operator.index(r), operator.index(j), operator.index(n)
     if j < 1:
@@ -249,7 +293,7 @@ def p_series_certified(r: int, j: int, n: int) -> tuple[int, TailCertificate]:
     if r < 0 or n < 0:
         raise ValueError("r, n must be >= 0")
     cert = _certify_truncation(r, j, n)
-    value = certified_round(lambda s: _shifted_value(r + s, j - 1, n), cert)
+    value = _polynomial_round(_shift_coeffs(j - 1, n), r, cert)
     return value, cert
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import floor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rbpa import counts
 from rbpa.combinat import binomial
@@ -179,6 +179,13 @@ def test_row_cache_builds_each_row_once_per_doubling():
     assert values == {n: p_recurrence(0, 2, n) for n in range(60)}
 
 
+def test_series_with_one_free_section_builds_no_row():
+    # its terms p^{r+s}_0(n) = (r+s)^n need no r = 0 row
+    clear_row_cache()
+    assert p_series_certified(2, 1, 10)[0] == p_recurrence(2, 1, 10)
+    assert counts._p_row.cache_info().misses == 0
+
+
 def test_certified_round_equals_the_rational_partial_sum():
     for r in range(5):
         for j in range(1, 5):
@@ -229,12 +236,73 @@ def _certify_truncation_reference(r, j, n):
 
 
 def test_certify_truncation_matches_the_reference_search():
+    cases = [(r, j, n) for r in range(5) for j in range(5) for n in range(21)]
+    # larger n, where the search starts near S and skips most of the loop
+    cases += [
+        (r, j, n) for r in range(9) for j in range(9) for n in range(25, 61, 5)
+    ]
+    for r, j, n in cases:
+        assert counts._certify_truncation(r, j, n) == (
+            _certify_truncation_reference(r, j, n)
+        )
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=21),
+    st.integers(0, 60),
+    st.integers(0, 900),
+)
+@example(coeffs=[0], base=0, t=0)
+@example(coeffs=[-3, 0, 5], base=0, t=0)
+@example(coeffs=[1], base=0, t=1)
+def test_polynomial_round_equals_the_literal_certified_round(coeffs, base, t):
+    cert = TailCertificate(truncation_index=t, tail_bound=Fraction(0))
+
+    def term(s):
+        return sum(c * (base + s) ** k for k, c in enumerate(coeffs))
+
+    assert counts._polynomial_round(tuple(coeffs), base, cert) == (
+        counts.certified_round(term, cert)
+    )
+
+
+@pytest.mark.parametrize("r, j, n", [(0, 1, 0), (2, 1, 4), (1, 3, 6), (4, 2, 9)])
+def test_double_sum_vanishing_check_catches_a_wrong_high_base(
+    monkeypatch, r, j, n
+):
+    # the total reads only bases r..r+n, so a value off at base r+n+1
+    # changes no returned digit and only the vanishing check can see it
+    original = counts._shifted_value
+
+    def off_by_one(base, j_, n_):
+        return original(base, j_, n_) + (base == r + n + 1)
+
+    monkeypatch.setattr(counts, "_shifted_value", off_by_one)
+    with pytest.raises(ArithmeticError, match=f"k={n + 1} should vanish"):
+        p_double_sum(r, j, n)
+
+
+def test_tail_certificate_bounds_the_exact_tail():
+    # what the certificate claims, checked on exact sums rather than on
+    # the search loop: the next 64 terms after S add less than the bound,
+    # and the whole series exceeds its partial sum below S by less
     for r in range(5):
-        for j in range(5):
-            for n in range(21):
-                assert counts._certify_truncation(r, j, n) == (
-                    _certify_truncation_reference(r, j, n)
-                )
+        for j in range(1, 5):
+            for n in range(16):
+                cert = counts._certify_truncation(r, j, n)
+                big_s = cert.truncation_index
+                head = tail = 0  # scaled by 2^S and 2^(S+64)
+                for s in range(big_s + 64):
+                    v = counts._shifted_value(r + s, j - 1, n)
+                    if s < big_s:
+                        head += v << (big_s - 1 - s)
+                    else:
+                        tail += v << (big_s + 63 - s)
+                partial_tail = Fraction(tail, 1 << (big_s + 64))
+                rest = p_recurrence(r, j, n) - Fraction(head, 1 << big_s)
+                assert partial_tail < cert.tail_bound
+                assert partial_tail <= rest < cert.tail_bound
 
 
 def test_p_recurrence_refuses_a_non_integer():

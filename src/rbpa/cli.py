@@ -90,12 +90,26 @@ def _negated(entries: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-e for e in entries)
 
 
+# Upper bounds of --n-max (seq, cycle) and --order (egf), and of --j
+# (seq and cycle for family p, egf), so no input starts an unbounded run.
+# Every use in the tests, demos, README and benchmark stays at or below
+# 200 and 4; at the bounds the slowest runs take seconds.
+SEQ_CLI_MAX = 500
+J_CLI_MAX = 100
+
+
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise UsageError(f"{flag} must be at most {cap}")
+
+
 def _family_values(args, n_max: int):
     """(family tag, params dict, list of values for n = 0..n_max)."""
     family = args.family
     if family == "p":
         if args.r is None or args.j is None:
             raise UsageError("family p needs --r and --j")
+        _check_cap("--j", args.j, J_CLI_MAX)
         table = counts.p_egf(args.r, args.j, n_max)
         return family, {"r": args.r, "j": args.j}, list(table.values)
     if family == "B":
@@ -133,6 +147,7 @@ def _family_values(args, n_max: int):
 def cmd_seq(args) -> int:
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
+    _check_cap("--n-max", args.n_max, SEQ_CLI_MAX)
     family, params, vals = _family_values(args, args.n_max)
     _emit_values(family, params, vals, OutputFormat(args.format), sys.stdout)
     return 0
@@ -141,8 +156,10 @@ def cmd_seq(args) -> int:
 def cmd_egf(args) -> int:
     if args.order < 0:
         raise UsageError("--order must be >= 0")
+    _check_cap("--order", args.order, SEQ_CLI_MAX)
     if args.r < 0 or args.j < 0:
         raise UsageError("--r and --j must be >= 0")
+    _check_cap("--j", args.j, J_CLI_MAX)
     series = exp_series(args.r, args.order) * (
         counts.two_minus_exp(args.order) ** args.j
     ).reciprocal()
@@ -173,6 +190,7 @@ def cmd_oracle(args) -> int:
 def cmd_cycle(args) -> int:
     if args.n_max < 9:
         raise UsageError("--n-max must be >= 9 so every residue is checked")
+    _check_cap("--n-max", args.n_max, SEQ_CLI_MAX)
     family, params, vals = _family_values(args, args.n_max)
     for v in vals:
         if isinstance(v, Fraction) and v.denominator != 1:
@@ -260,7 +278,10 @@ def _add_family(parser) -> None:
         help="p: barred counts; B, U: the two number families; W: 2r^n-(r-1)^n",
     )
     parser.add_argument("--r", type=int, default=None)
-    parser.add_argument("--j", type=int, default=None)
+    parser.add_argument(
+        "--j", type=int, default=None,
+        help=f"free sections for family p, at most {J_CLI_MAX}",
+    )
     parser.add_argument(
         "--index", default=None,
         help="comma-separated signed upper index, e.g. -2,0,0",
@@ -276,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", help="tabulate a family for n = 0..n_max")
     _add_family(p_seq)
-    p_seq.add_argument("--n-max", type=int, required=True)
+    p_seq.add_argument(
+        "--n-max", type=int, required=True,
+        help=f"largest n to tabulate, at most {SEQ_CLI_MAX}",
+    )
     _add_format(p_seq)
     p_seq.set_defaults(func=cmd_seq)
 
@@ -284,8 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
         "egf", help="dump coefficients of e^{rm}/(2-e^m)^j or its reciprocal"
     )
     p_egf.add_argument("--r", type=int, required=True)
-    p_egf.add_argument("--j", type=int, required=True)
-    p_egf.add_argument("--order", type=int, required=True)
+    p_egf.add_argument(
+        "--j", type=int, required=True, help=f"at most {J_CLI_MAX}",
+    )
+    p_egf.add_argument(
+        "--order", type=int, required=True,
+        help=f"largest coefficient to dump, at most {SEQ_CLI_MAX}",
+    )
     p_egf.add_argument(
         "--reciprocal", action="store_true",
         help="dump the reciprocal series instead",
@@ -310,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_family(p_cycle)
     p_cycle.add_argument(
-        "--n-max", type=int, required=True, help="at least 9",
+        "--n-max", type=int, required=True,
+        help=f"at least 9 and at most {SEQ_CLI_MAX}",
     )
     p_cycle.set_defaults(func=cmd_cycle)
 

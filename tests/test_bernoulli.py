@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbpa import bernoulli
-from rbpa.combinat import factorial, stirling2
+from rbpa.combinat import binomial, factorial, stirling2
 from rbpa.egf import exp_series, one
 from rbpa.bernoulli import (
     MuTable,
@@ -85,6 +87,16 @@ def test_b_and_u_routes_refuse_non_integers(call):
         call()
 
 
+def test_mu_table_refuses_a_float_entry_with_a_cold_or_warm_cache():
+    mu_table.cache_clear()
+    with pytest.raises(TypeError):
+        mu_table((2.0,))
+    assert mu_table((2,)).coefficients == (0, -1, 2)
+    assert mu_table.cache_info().currsize == 1
+    with pytest.raises(TypeError):
+        mu_table((2.0,))
+
+
 def test_poly_bernoulli_closed_forms():
     # upper index -1: B_n = 2^n except at n = 0
     assert [poly_bernoulli(-1, n) for n in range(6)] == [1, 2, 4, 8, 16, 32]
@@ -97,9 +109,33 @@ def test_poly_bernoulli_closed_forms():
 
 
 def test_poly_bernoulli_double_sum_matches_reduced_form():
-    for k in range(-3, 4):
-        for n in range(7):
+    for k in range(-4, 9):
+        for n in range(61):
             assert poly_bernoulli_double_sum(k, n) == poly_bernoulli(k, n)
+
+
+def _poly_bernoulli_by_terms(k, n):
+    # the Stirling-reduced sum with one Fraction per term
+    total = 0
+    for s in range(n + 1):
+        numerator = (-1) ** (n + s) * factorial(s) * stirling2(n, s)
+        if k > 0:
+            total += Fraction(numerator, (s + 1) ** k)
+        else:
+            total += numerator * (s + 1) ** -k
+    return Fraction(total)
+
+
+def test_poly_bernoulli_matches_the_term_by_term_sum_in_lowest_terms():
+    for k in range(-4, 9):
+        for n in range(61):
+            value = poly_bernoulli(k, n)
+            assert value == _poly_bernoulli_by_terms(k, n)
+            # lowest terms, so numerator and denominator compare exactly
+            assert value.denominator > 0
+            assert math.gcd(value.numerator, value.denominator) == 1
+            if k <= 0:
+                assert value.denominator == 1
 
 
 def test_mu_tables():
@@ -266,3 +302,41 @@ def test_corollary_convolution_check():
 @given(small_index, st.integers(0, 8))
 def test_shift_route_equals_mu_route_for_u(idx, n):
     assert u_via_shift(idx, n) == u_from_mu(idx, n)
+
+
+@settings(deadline=None)
+@given(small_index, st.integers(0, 40))
+def test_shift_route_is_the_literal_binomial_shift_of_b(idx, n):
+    assert u_via_shift(idx, n) == sum(
+        binomial(n, s) * (-1) ** (n - s) * multi_poly_bernoulli(idx, s)
+        for s in range(n + 1)
+    )
+
+
+def _u_stirling_reference(indices, n):
+    # every chain 0 < s_1 < ... < s_b = t written out, one term at a time
+    b = len(indices)
+    total = Fraction(0)
+    for t in range(b, n + b + 1):
+        chain = Fraction(0)
+        for head in combinations(range(1, t), b - 1):
+            term = Fraction(1)
+            for s_i, k_i in zip(head + (t,), indices):
+                term *= Fraction(s_i) ** -k_i
+            chain += term
+        total += (
+            chain
+            * (-1) ** (t - b + 1)
+            * factorial(t - b)
+            * stirling2(n + 1, t - b + 1)
+        )
+    return (-1) ** (n + 1) * total
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple),
+    st.integers(0, 12),
+)
+def test_u_stirling_sum_matches_the_literal_chain_sum(indices, n):
+    assert u_stirling_sum(indices, n) == _u_stirling_reference(indices, n)

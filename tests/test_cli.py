@@ -4,7 +4,7 @@ import pytest
 
 from rbpa import combinat
 from rbpa.bernoulli import multi_poly_bernoulli_li_sequence
-from rbpa.cli import _glue_index, main
+from rbpa.cli import J_CLI_MAX, SEQ_CLI_MAX, _glue_index, main
 from rbpa.counts import p_egf, two_minus_exp
 from rbpa.egf import exp_series
 
@@ -148,6 +148,37 @@ def test_oracle_size_cap(capsys):
     code, _, err = run(capsys, "oracle", "--r", "1", "--j", "1", "--n-max", "8")
     assert code == 2
     assert "--n-max" in err
+
+
+def test_seq_n_max_has_an_upper_bound(capsys):
+    code, out, _ = run(capsys, "seq", "--family", "W", "--r", "2",
+                       "--n-max", str(SEQ_CLI_MAX))
+    assert code == 0
+    assert len(json.loads(out)["values"]) == SEQ_CLI_MAX + 1
+    for command in (["seq", "--family", "B", "--index", "-2"],
+                    ["cycle", "--family", "B", "--index", "-2"]):
+        code, out, err = run(capsys, *command, "--n-max", "100000")
+        assert code == 2
+        assert out == ""
+        assert err == f"rbpa: --n-max must be at most {SEQ_CLI_MAX}\n"
+
+
+def test_egf_order_has_an_upper_bound(capsys):
+    code, out, err = run(capsys, "egf", "--r", "1", "--j", "1",
+                         "--order", str(SEQ_CLI_MAX + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"rbpa: --order must be at most {SEQ_CLI_MAX}\n"
+
+
+def test_j_has_an_upper_bound(capsys):
+    too_many = str(J_CLI_MAX + 1)
+    for command in (["seq", "--family", "p", "--r", "1", "--n-max", "3"],
+                    ["egf", "--r", "1", "--order", "3"]):
+        code, out, err = run(capsys, *command, "--j", too_many)
+        assert code == 2
+        assert out == ""
+        assert err == f"rbpa: --j must be at most {J_CLI_MAX}\n"
 
 
 def test_cycle_holds(capsys):

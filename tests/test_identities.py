@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -174,3 +175,23 @@ def test_coverage_table_lists_anchor_text():
     assert "(2-e^m)" in by_id["EQ11B_SIGN"]["anchor"]
     assert by_id["T3"]["diagnostic"] is False
     assert by_id["UREL"]["diagnostic"] is True
+
+
+# sha256 of every default domain, parameter order included; the verify
+# output pins cannot see a shifted domain, because a summary carries only
+# counts, failures and diagnostics
+DOMAIN_DIGESTS = {
+    "quick": "ceff31689ae079cb42d92da60a18293cfbe779ae321ad360af4225590321d386",
+    "full": "be152e50a17e8b602f95adca44706f18f67ad2c00d802ba7f1f570394c8b5758",
+}
+
+
+@pytest.mark.parametrize("profile", sorted(DOMAIN_DIGESTS))
+def test_every_default_domain_is_pinned(profile):
+    domains = [
+        [ident, [[param, list(values)]
+                 for param, values in REGISTRY.get(ident).domain(profile).items()]]
+        for ident in REGISTRY.ids()
+    ]
+    text = json.dumps(domains, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == DOMAIN_DIGESTS[profile]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
-import json
 import sys
 from fractions import Fraction
 
@@ -31,37 +30,17 @@ class UsageError(Exception):
     pass
 
 
-def _scalar_text(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
-
-def _scalar_json(value):
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return value.numerator
-        return f"{value.numerator}/{value.denominator}"
-    return value
-
-
 def _emit_values(family: str, params: dict, values, fmt: OutputFormat, out) -> None:
     """values[i] is the sequence member at n = i."""
     if fmt is OutputFormat.JSON:
-        payload = {
-            "family": family,
-            "params": {k: _scalar_json(v) for k, v in params.items()},
-            "values": [_scalar_json(v) for v in values],
-        }
-        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        payload = {"family": family, "params": params, "values": values}
+        out.write(identities.canonical_json(identities.json_value(payload)))
         out.write("\n")
     elif fmt is OutputFormat.CSV:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "value"])
         for n, v in enumerate(values):
-            writer.writerow([n, _scalar_text(v)])
+            writer.writerow([n, str(identities.json_value(v))])
     else:
         for v in values:
             if isinstance(v, Fraction) and v.denominator != 1:
@@ -69,7 +48,7 @@ def _emit_values(family: str, params: dict, values, fmt: OutputFormat, out) -> N
                     "bfile output needs integer values; use json or csv"
                 )
         for n, v in enumerate(values):
-            out.write(f"{n} {_scalar_text(v)}\n")
+            out.write(f"{n} {identities.json_value(v)}\n")
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
@@ -171,7 +150,12 @@ def cmd_egf(args) -> int:
     return 0
 
 
+# The oracle visits (r+j)^n assignments at each n and fills r + j
+# section counters for each, so its work up to n_max is about
+# (r+j)^(n_max+1); the bound refuses more than ORACLE_WORK_MAX before
+# anything is enumerated. The slowest allowed runs take a few seconds.
 ORACLE_CLI_MAX = 7
+ORACLE_WORK_MAX = 10**7
 
 
 def cmd_oracle(args) -> int:
@@ -179,6 +163,11 @@ def cmd_oracle(args) -> int:
         raise UsageError(f"--n-max must be between 0 and {ORACLE_CLI_MAX}")
     if args.r < 0 or args.j < 0:
         raise UsageError("--r and --j must be >= 0")
+    if (args.r + args.j) ** (args.n_max + 1) > ORACLE_WORK_MAX:
+        raise UsageError(
+            f"(r+j)^(n_max+1) must be at most {ORACLE_WORK_MAX}; "
+            "lower --r, --j or --n-max"
+        )
     vals = [oracle.enumerate_rbpa(n, args.r, args.j) for n in range(args.n_max + 1)]
     _emit_values(
         "p", {"r": args.r, "j": args.j, "oracle": True}, vals,
@@ -198,12 +187,12 @@ def cmd_cycle(args) -> int:
     holds = counts.last_digit_cycle_check(vals[1:], offset=1)
     payload = {
         "family": family,
-        "params": {k: _scalar_json(v) for k, v in params.items()},
+        "params": params,
         "offset": 1,
         "n_max": args.n_max,
         "holds": holds,
     }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    sys.stdout.write(identities.canonical_json(identities.json_value(payload)))
     sys.stdout.write("\n")
     return 0 if holds else 1
 

@@ -6,12 +6,18 @@ known to hold only under a corrected reading, so a mismatch is flagged
 and explained in the report note instead of failing the suite. Nothing
 here repairs a statement silently; the note always says which reading
 holds.
+
+Each entry's default domain is data: a row of bounds per parameter,
+read against the caps that `PROFILES` sets for the profile (see
+`_domain`). Reports and command-line tables serialize exact values
+through the one `json_value` and the one `canonical_json`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -27,33 +33,37 @@ class UnknownIdentityError(KeyError):
 
 
 PROFILES = {
-    # ncap bounds n; icap bounds r, j, b and multi-index entries
-    "quick": {"ncap": 8, "icap": 2},
-    "full": {"ncap": 15, "icap": 4},
+    # ncap bounds n; icap bounds r, j and b; mcap bounds the length and the
+    # entries of a multi-index; scap and ecap bound L1's base and exponent
+    "quick": {"ncap": 8, "icap": 2, "mcap": 2, "scap": 20, "ecap": 8},
+    "full": {"ncap": 15, "icap": 4, "mcap": 3, "scap": 50, "ecap": 20},
 }
 
 
-def _caps(profile: str) -> tuple[int, int]:
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}")
-    p = PROFILES[profile]
-    return p["ncap"], p["icap"]
+def json_value(value):
+    """The JSON form of an exact value.
 
-
-def _json_value(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return value
+    An integral Fraction becomes its int and any other Fraction the text
+    "num/den"; tuples and lists become lists and dicts keep their keys,
+    both serialized entry by entry; ints, bools, str and None stay as
+    they are. Text output (csv, bfile) is str() of this form.
+    """
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return value.numerator
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (tuple, list)):
-        return [_json_value(v) for v in value]
-    if value is None or isinstance(value, str):
+        return [json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
+    if value is None or isinstance(value, (int, str)):
         return value
     raise TypeError(f"cannot serialize {value!r}")
+
+
+def canonical_json(payload) -> str:
+    """Byte-deterministic JSON text: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _exact(value):
@@ -86,9 +96,9 @@ class CheckReport(FrozenRecord):
     def as_dict(self) -> dict:
         return {
             "id": self.identity,
-            "params": {k: _json_value(v) for k, v in self.params.items()},
-            "lhs": _json_value(self.lhs),
-            "rhs": _json_value(self.rhs),
+            "params": json_value(self.params),
+            "lhs": json_value(self.lhs),
+            "rhs": json_value(self.rhs),
             "pass": self.passed,
             "note": self.note,
         }
@@ -156,18 +166,42 @@ class Registry:
         ]
 
 
-# domain helpers
+# domains
 
 
-def _rng(lo: int, hi: int) -> list[int]:
-    return list(range(lo, hi + 1))
+def _domain(row: dict) -> Callable[[str], dict]:
+    """The profile -> {param: values} callable that a row of bounds declares.
 
+    Each bound is a cap name of `PROFILES` or a fixed number. A range
+    (low, cap, offset) runs from low to cap + offset, or holds only
+    cap + offset when low is None. A multi-index (max length, max entry)
+    lists every index of length 1..max length with entries
+    0..max entry. Parameters keep the row's order.
+    """
 
-def _multi_indices(max_b: int, max_entry: int) -> list[tuple]:
-    out = []
-    for b in range(1, max_b + 1):
-        out.extend(product(range(max_entry + 1), repeat=b))
-    return out
+    def domain(profile: str) -> dict:
+        if profile not in PROFILES:
+            raise ValueError(f"unknown profile {profile!r}")
+        caps = PROFILES[profile]
+
+        def cap(bound) -> int:
+            return caps[bound] if isinstance(bound, str) else bound
+
+        values = {}
+        for name, bounds in row.items():
+            if len(bounds) == 2:
+                length, entry = map(cap, bounds)
+                values[name] = [
+                    idx for b in range(1, length + 1)
+                    for idx in product(range(entry + 1), repeat=b)
+                ]
+            else:
+                low, top, offset = bounds
+                top = cap(top) + offset
+                values[name] = list(range(top if low is None else low, top + 1))
+        return values
+
+    return domain
 
 
 def _two_pads(b: int) -> tuple:
@@ -200,12 +234,19 @@ def _cycle_window(n_max: int):
     return range(1, n_max - 3)
 
 
+def _digit_cycle(window: range, here, ahead):
+    """Last digits of here(n) and of ahead(n + 4) for n in the window."""
+    lhs = tuple(here(n) % 10 for n in window)
+    rhs = tuple(ahead(n + 4) % 10 for n in window)
+    return lhs, rhs, f"digits at n and n+4 compared for n = 1..{window[-1]}"
+
+
 def _eval_cycle_p(bd):
     r, j, n_max = bd["r"], bd["j"], bd["n_max"]
     row = p_egf(r, j, n_max).values
-    lhs = tuple(row[n] % 10 for n in _cycle_window(n_max))
-    rhs = tuple(p_recurrence(r, j, n + 4) % 10 for n in _cycle_window(n_max))
-    return lhs, rhs, f"digits at n and n+4 compared for n = 1..{n_max - 4}"
+    return _digit_cycle(
+        _cycle_window(n_max), row.__getitem__, partial(p_recurrence, r, j)
+    )
 
 
 def _eval_dsum_l(bd):
@@ -249,31 +290,25 @@ def _eval_incl_excl(bd):
     return lhs, rhs, note
 
 
-def _eval_ser_l7(bd):
-    n = bd["n"]
-    lhs = p_egf(0, 1, n)[n]
-    cert = _certify_truncation(0, 1, n)
-    rhs = certified_round(lambda s: int_pow(s, n), cert)
-    note = f"truncated at S = {cert.truncation_index}, tail < {cert.tail_bound}"
-    return lhs, rhs, note
+def _truncation_note(cert) -> str:
+    return f"truncated at S = {cert.truncation_index}, tail < {cert.tail_bound}"
 
 
-def _eval_ser_l8(bd):
+def _eval_ser_powers(r, bd):
+    # p^r_1(n) = sum_{s>=0} (s+r)^n / 2^{s+1}: SER_L7 at r = 0, and at
+    # r = 2 SER_L8's 2 sum_{s>=2} s^n / 2^s, reindexed from s = 2
     n = bd["n"]
-    lhs = p_egf(2, 1, n)[n]
-    cert = _certify_truncation(2, 1, n)
-    # 2 sum_{s>=2} s^n / 2^s = sum_{u>=0} (u+2)^n / 2^{u+1}
-    rhs = certified_round(lambda u: int_pow(u + 2, n), cert)
-    note = f"truncated at S = {cert.truncation_index}, tail < {cert.tail_bound}"
-    return lhs, rhs, note
+    lhs = p_egf(r, 1, n)[n]
+    cert = _certify_truncation(r, 1, n)
+    rhs = certified_round(lambda s: int_pow(s + r, n), cert)
+    return lhs, rhs, _truncation_note(cert)
 
 
 def _eval_ser_t(bd):
     r, j, n = bd["r"], bd["j"], bd["n"]
     lhs = p_egf(r, j, n)[n]
     value, cert = counts.p_series_certified(r, j, n)
-    note = f"truncated at S = {cert.truncation_index}, tail < {cert.tail_bound}"
-    return lhs, value, note
+    return lhs, value, _truncation_note(cert)
 
 
 def _eval_rec_l10(bd):
@@ -388,34 +423,27 @@ def _eval_cor(bd):
 
 
 def _eval_cycle_b2(bd):
-    b, n_max = bd["b"], bd["n_max"]
-    idx = _two_pads(b)
-    lhs = tuple(
-        bernoulli.multi_poly_bernoulli(idx, n) % 10 for n in _cycle_window(n_max)
+    b, window = bd["b"], _cycle_window(bd["n_max"])
+    return _digit_cycle(
+        window,
+        partial(bernoulli.multi_poly_bernoulli, _two_pads(b)),
+        partial(bernoulli.w_family, 3 + b),
     )
-    rhs = tuple(
-        bernoulli.w_family(3 + b, n + 4) % 10 for n in _cycle_window(n_max)
-    )
-    return lhs, rhs, f"digits at n and n+4 compared for n = 1..{n_max - 4}"
 
 
 def _eval_cycle_bmulti(bd):
-    idx, n_max = bd["idx"], bd["n_max"]
-    lhs = tuple(
-        bernoulli.multi_poly_bernoulli(idx, n) % 10 for n in _cycle_window(n_max)
+    idx, window = bd["idx"], _cycle_window(bd["n_max"])
+    seq = bernoulli.multi_poly_bernoulli_li_sequence(idx, bd["n_max"])
+    return _digit_cycle(
+        window, partial(bernoulli.multi_poly_bernoulli, idx), seq.__getitem__
     )
-    seq = bernoulli.multi_poly_bernoulli_li_sequence(idx, n_max)
-    rhs = tuple(seq[n + 4] % 10 for n in _cycle_window(n_max))
-    return lhs, rhs, f"digits at n and n+4 compared for n = 1..{n_max - 4}"
 
 
 def _eval_cycle_u(bd):
-    idx, n_max = bd["idx"], bd["n_max"]
-    lhs = tuple(bernoulli.u_number(idx, n) % 10 for n in _cycle_window(n_max))
-    rhs = tuple(
-        bernoulli.u_from_mu(idx, n + 4) % 10 for n in _cycle_window(n_max)
+    idx, window = bd["idx"], _cycle_window(bd["n_max"])
+    return _digit_cycle(
+        window, partial(bernoulli.u_number, idx), partial(bernoulli.u_from_mu, idx)
     )
-    return lhs, rhs, f"digits at n and n+4 compared for n = 1..{n_max - 4}"
 
 
 def _eval_interp(bd):
@@ -496,317 +524,235 @@ def _eval_eq11b_sign(bd):
     return lhs, rhs, note
 
 
-def _build_registry() -> Registry:
+def _build_registry(specs: Sequence[IdentitySpec]) -> Registry:
     reg = Registry()
+    for spec in specs:
+        reg.register(spec)
+    return reg
 
-    def add(ident, anchor, lhs, rhs, domain, evaluate, diagnostic=False, constraint=None):
-        reg.register(
-            IdentitySpec(
-                ident=ident,
-                anchor=anchor,
-                lhs_method=lhs,
-                rhs_method=rhs,
-                domain=domain,
-                evaluate=evaluate,
-                diagnostic=diagnostic,
-                constraint=constraint,
-            )
-        )
 
-    add(
+_CYCLE = (None, "ncap", 4)  # n_max: the one window ncap + 4
+
+REGISTRY = _build_registry((
+    IdentitySpec(
         "T3",
         "p^r_j(n) = sum_{s=0}^{n} C(n,s) r^s p^0_j(n-s)",
         "counts.p_recurrence",
         "counts.p_binomial_shift",
-        lambda pr: {
-            "r": _rng(0, _caps(pr)[1]),
-            "j": _rng(0, _caps(pr)[1]),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"r": (0, "icap", 0), "j": (0, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_t3,
-    )
-    add(
+    ),
+    IdentitySpec(
         "L1",
         "s^{n+4} == s^n (mod 10) for n >= 1",
         "builtins.pow with modulus 10",
         "combinat.int_pow reduced mod 10",
-        lambda pr: {
-            "s": _rng(0, 20 if pr == "quick" else 50),
-            "n": _rng(1, _caps(pr)[0] if pr == "quick" else 20),
-        },
+        _domain({"s": (0, "scap", 0), "n": (1, "ecap", 0)}),
         _eval_l1,
-    )
-    add(
+    ),
+    IdentitySpec(
         "CYCLE_P",
         "last digit of p^r_j(n) repeats with period 4 from n = 1",
         "counts.p_egf digits",
         "counts.p_recurrence digits four steps on",
-        lambda pr: {
-            "r": _rng(0, _caps(pr)[1]),
-            "j": _rng(0, _caps(pr)[1]),
-            "n_max": [_caps(pr)[0] + 4],
-        },
+        _domain({"r": (0, "icap", 0), "j": (0, "icap", 0), "n_max": _CYCLE}),
         _eval_cycle_p,
         constraint=lambda r, j, n_max: r + j >= 1,
-    )
-    add(
+    ),
+    IdentitySpec(
         "DSUM_L",
         "p^r_1(n) = sum_k sum_{s<=k} C(k,s)(-1)^s (k-s+r)^n",
         "counts.p_egf",
         "literal alternating power double sum",
-        lambda pr: {
-            "r": _rng(0, _caps(pr)[1]),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"r": (0, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_dsum_l,
-    )
-    add(
+    ),
+    IdentitySpec(
         "DSUM_T",
         "p^r_j(n) = sum_k sum_{s<=k} C(k,s)(-1)^s p^{r+k-s}_{j-1}(n)",
         "counts.p_egf",
         "counts.p_double_sum",
-        lambda pr: {
-            "r": _rng(0, _caps(pr)[1]),
-            "j": _rng(1, _caps(pr)[1]),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_dsum_t,
-    )
-    add(
+    ),
+    IdentitySpec(
         "INCL_EXCL",
         "claim: p^r_{j-r}(n) = sum_{s=1}^{r} C(r,s)(-1)^{s+1} p^s_{j-s}(n)",
         "counts.p_egf at the all-marked-restricted family",
         "counts.p_inclusion_exclusion",
-        lambda pr: {
-            "r": _rng(1, _caps(pr)[1]),
-            "j": _rng(1, _caps(pr)[1]),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"r": (1, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_incl_excl,
         diagnostic=True,
         constraint=lambda r, j, n: r <= j,
-    )
-    add(
+    ),
+    IdentitySpec(
         "SER_L7",
         "p^0_1(n) = sum_{s>=0} s^n / 2^{s+1}",
         "counts.p_egf",
         "literal certified series of weighted powers",
-        lambda pr: {"n": _rng(0, _caps(pr)[0])},
-        _eval_ser_l7,
-    )
-    add(
+        _domain({"n": (0, "ncap", 0)}),
+        partial(_eval_ser_powers, 0),
+    ),
+    IdentitySpec(
         "SER_L8",
         "p^2_1(n) = 2 sum_{s>=2} s^n / 2^s",
         "counts.p_egf",
         "literal certified series of weighted powers, reindexed",
-        lambda pr: {"n": _rng(0, _caps(pr)[0])},
-        _eval_ser_l8,
-    )
-    add(
+        _domain({"n": (0, "ncap", 0)}),
+        partial(_eval_ser_powers, 2),
+    ),
+    IdentitySpec(
         "SER_T",
         "p^r_j(n) = (1/2) sum_{s>=0} p^{r+s}_{j-1}(n) / 2^s",
         "counts.p_egf",
         "counts.p_series_certified",
-        lambda pr: {
-            "r": _rng(0, _caps(pr)[1]),
-            "j": _rng(1, _caps(pr)[1]),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_ser_t,
-    )
-    add(
+    ),
+    IdentitySpec(
         "REC_L10",
         "p^0_1(n) = sum_{s=1}^{n-1} C(n,s) p^0_1(n-s) + 1 for n >= 1",
         "counts.p_egf",
         "binomial sum over counts.p_recurrence values plus one",
-        lambda pr: {"n": _rng(1, _caps(pr)[0])},
+        _domain({"n": (1, "ncap", 0)}),
         _eval_rec_l10,
-    )
-    add(
+    ),
+    IdentitySpec(
         "REC_L11",
         "p^2_1(n+1) = sum_{s=0}^{n} C(n+1,s) p^2_1(s) + 2^{n+1}",
         "counts.p_egf",
         "binomial sum over counts.p_recurrence values plus a power of two",
-        lambda pr: {"n": _rng(0, _caps(pr)[0])},
+        _domain({"n": (0, "ncap", 0)}),
         _eval_rec_l11,
         diagnostic=True,
-    )
-    add(
+    ),
+    IdentitySpec(
         "REC_T",
         "p^r_j(n) = p^r_{j-1}(n) + sum_{s<n} C(n,s) p^r_j(s) for j, n >= 1",
         "counts.p_recurrence",
         "one recurrence step assembled from counts.p_egf values",
-        lambda pr: {
-            "r": _rng(0, _caps(pr)[1]),
-            "j": _rng(1, _caps(pr)[1]),
-            "n": _rng(1, _caps(pr)[0]),
-        },
+        _domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (1, "ncap", 0)}),
         _eval_rec_t,
-    )
-    add(
+    ),
+    IdentitySpec(
         "EQ5",
         "p^{r-3}_{j-1}(n) = sum_s C(n,s)(-1)^s B^{-2}_s p^r_j(n-s), r >= 3",
         "counts.p_egf at the shifted family",
         "bernoulli.poly_bernoulli convolution over counts.p_egf",
-        lambda pr: {
-            "r": _rng(3, 3 + _caps(pr)[1]),
-            "j": _rng(1, _caps(pr)[1]),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"r": (3, "icap", 3), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_eq5,
-    )
-    add(
+    ),
+    IdentitySpec(
         "EQ6",
         "p^3_1(n) = sum_{s=1}^{n} C(n,s)(-1)^{s+1} B^{-2}_s p^3_1(n-s)",
         "counts.p_egf",
         "reciprocal-coefficient convolution over counts.p_recurrence",
-        lambda pr: {"n": _rng(1, _caps(pr)[0])},
+        _domain({"n": (1, "ncap", 0)}),
         _eval_eq6,
-    )
-    add(
+    ),
+    IdentitySpec(
         "EQ8",
         "p^{3+b}_1(n) = sum_{s=1}^{n} C(n,s)(-1)^{s+1} B^{(-2,0^b)}_s p^{3+b}_1(n-s)",
         "counts.p_egf",
         "bernoulli.multi_poly_bernoulli convolution over counts.p_recurrence",
-        lambda pr: {
-            "b": _rng(0, _caps(pr)[1]),
-            "n": _rng(1, _caps(pr)[0]),
-        },
+        _domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
         _eval_eq8,
-    )
-    add(
+    ),
+    IdentitySpec(
         "EQ8_REARRANGED",
         "claim: B^{(-2,0^b)}_n = sum_{s=1}^{n} C(n,s) p^{3+b}_1(s)(-1)^{n-s+1} B^{(-2,0^b)}_{n-s}",
         "bernoulli.multi_poly_bernoulli",
         "printed-sign convolution of counts.p_egf with bernoulli.w_family",
-        lambda pr: {
-            "b": _rng(0, _caps(pr)[1]),
-            "n": _rng(1, _caps(pr)[0]),
-        },
+        _domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
         _eval_eq8_rearranged,
         diagnostic=True,
-    )
-    add(
+    ),
+    IdentitySpec(
         "EQ9",
         "p^{r-(3+b)}_{j-1}(n) = sum_s C(n,s) p^r_j(s)(-1)^{n-s} B^{(-2,0^b)}_{n-s}, r >= 3+b",
         "counts.p_recurrence at the shifted family",
         "w_family convolution over counts.p_egf",
-        lambda pr: {
-            "b": _rng(0, _caps(pr)[1]),
-            "r": _rng(3, 3 + _caps(pr)[1]),
-            "j": _rng(1, _caps(pr)[1]),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"b": (0, "icap", 0), "r": (3, "icap", 3),
+                 "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_eq9,
         constraint=lambda b, r, j, n: r >= 3 + b,
-    )
-    add(
+    ),
+    IdentitySpec(
         "COR",
         "B^{(-j,0^{b-1})}_n = sum_s C(n,s) B^{(0^{b-1})}_s B^{-j}_{n-s}",
         "bernoulli.multi_poly_bernoulli (mu route)",
         "binomial convolution of bernoulli.poly_bernoulli with the all-zero family",
-        lambda pr: {
-            "j": _rng(0, _caps(pr)[1]),
-            "b": _rng(1, _caps(pr)[1]),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"j": (0, "icap", 0), "b": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_cor,
-    )
-    add(
+    ),
+    IdentitySpec(
         "CYCLE_B2",
         "last digit of B^{(-2,0^b)}_n repeats with period 4 from n = 1",
         "bernoulli.multi_poly_bernoulli digits",
         "bernoulli.w_family digits four steps on",
-        lambda pr: {
-            "b": _rng(0, _caps(pr)[1]),
-            "n_max": [_caps(pr)[0] + 4],
-        },
+        _domain({"b": (0, "icap", 0), "n_max": _CYCLE}),
         _eval_cycle_b2,
-    )
-    add(
+    ),
+    IdentitySpec(
         "CYCLE_BMULTI",
         "last digit of B at any non-positive multi-index repeats with period 4 from n = 1",
         "bernoulli.multi_poly_bernoulli digits",
         "bernoulli.multi_poly_bernoulli_li_sequence digits four steps on",
-        lambda pr: {
-            "idx": _multi_indices(2 if pr == "quick" else 3, 2 if pr == "quick" else 3),
-            "n_max": [_caps(pr)[0] + 4],
-        },
+        _domain({"idx": ("mcap", "mcap"), "n_max": _CYCLE}),
         _eval_cycle_bmulti,
-    )
-    add(
+    ),
+    IdentitySpec(
         "CYCLE_U",
         "last digit of U at any non-positive multi-index repeats with period 4 from n = 1",
         "bernoulli.u_number digits (finite Stirling sum)",
         "bernoulli.u_from_mu digits four steps on",
-        lambda pr: {
-            "idx": _multi_indices(2 if pr == "quick" else 3, 2 if pr == "quick" else 3),
-            "n_max": [_caps(pr)[0] + 4],
-        },
+        _domain({"idx": ("mcap", "mcap"), "n_max": _CYCLE}),
         _eval_cycle_u,
-    )
-    add(
+    ),
+    IdentitySpec(
         "INTERP",
         "with 3+b bars, all sections restricted, the arrangements with section i or jj empty number B^{(-2,0^b)}_n",
         "oracle.enumerate_rbpa_with_empty",
         "bernoulli.multi_poly_bernoulli (mu route)",
-        lambda pr: {
-            "b": _rng(0, min(_caps(pr)[1], 2)),
-            "n": _rng(0, min(_caps(pr)[0], 6)),
-        },
+        _domain({"b": (0, 2, 0), "n": (0, 6, 0)}),
         _eval_interp,
-    )
-    add(
+    ),
+    IdentitySpec(
         "T3B",
         "U^{(k_1..k_b)}_n = (-1)^{n+1} sum_{t=b}^{n+b} chain(t) (-1)^{t-b+1}(t-b)! {n+1 brace t-b+1}",
         "bernoulli.u_stirling_sum",
         "bernoulli.u_via_shift",
-        lambda pr: {
-            "idx": _multi_indices(2, 2 if pr == "quick" else 3),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"idx": (2, "mcap"), "n": (0, "ncap", 0)}),
         _eval_t3b,
-    )
-    add(
+    ),
+    IdentitySpec(
         "UREL",
         "claim: U^{(-2,0^b)}_n = B^{(-2,0^{b+1})}_n",
         "bernoulli.u_number",
         "bernoulli.multi_poly_bernoulli at the once-padded index",
-        lambda pr: {
-            "b": _rng(0, _caps(pr)[1]),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"b": (0, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_urel,
         diagnostic=True,
-    )
-    add(
+    ),
+    IdentitySpec(
         "EQ13",
         "claim: p^{4+b}_1(n) = sum_{s=1}^{n} C(n,s)(-1)^{s+1} U^{(-2,0^b)}_s p^{4+b}_1(n-s)",
         "counts.p_egf",
         "U convolution over counts.p_recurrence, both U readings",
-        lambda pr: {
-            "b": _rng(0, _caps(pr)[1]),
-            "n": _rng(1, _caps(pr)[0]),
-        },
+        _domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
         _eval_eq13,
         diagnostic=True,
-    )
-    add(
+    ),
+    IdentitySpec(
         "EQ11B_SIGN",
         "claim: sum_n B^{(-2,0^b)}_n m^n/n! = (2-e^m) e^{-(3+b)m}",
         "bernoulli.multi_poly_bernoulli",
         "coefficient of the stated product series",
-        lambda pr: {
-            "b": _rng(0, _caps(pr)[1]),
-            "n": _rng(0, _caps(pr)[0]),
-        },
+        _domain({"b": (0, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_eq11b_sign,
         diagnostic=True,
-    )
-    return reg
-
-
-REGISTRY = _build_registry()
+    ),
+))
 
 
 def run_identity(
@@ -899,12 +845,11 @@ class Summary(FrozenRecord):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())
 
 
 def run_all(profile: str = "quick") -> Summary:
     """Every registered identity on its default domain for the profile."""
-    _caps(profile)
     failures = []
     diagnostics = []
     checks = passed = 0
@@ -931,6 +876,4 @@ def run_all(profile: str = "quick") -> Summary:
 
 
 def reports_to_json(reports: Sequence[CheckReport]) -> str:
-    return json.dumps(
-        [r.as_dict() for r in reports], sort_keys=True, separators=(",", ":")
-    )
+    return canonical_json([r.as_dict() for r in reports])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from rbpa.identities import (
     IdentitySpec,
     Registry,
     UnknownIdentityError,
+    json_value,
     run_all,
     run_identity,
 )
@@ -195,3 +197,38 @@ def test_every_default_domain_is_pinned(profile):
     ]
     text = json.dumps(domains, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == DOMAIN_DIGESTS[profile]
+
+
+# value, its JSON form, and str() of that form (the csv and bfile text)
+EXACT_FORMS = [
+    (0, 0, "0"),
+    (-7, -7, "-7"),
+    (10 ** 30, 10 ** 30, str(10 ** 30)),
+    (True, True, "True"),
+    (None, None, "None"),
+    ("x", "x", "x"),
+    (Fraction(6, 3), 2, "2"),
+    (Fraction(-4, 2), -2, "-2"),
+    (Fraction(1, 3), "1/3", "1/3"),
+    (Fraction(-5, 4), "-5/4", "-5/4"),
+]
+
+
+@pytest.mark.parametrize("value, form, text", EXACT_FORMS)
+def test_json_value_of_a_scalar(value, form, text):
+    assert json_value(value) == form
+    assert type(json_value(value)) is type(form)
+    assert str(json_value(value)) == text
+
+
+def test_json_value_of_nested_containers():
+    value = (1, Fraction(1, 2), [Fraction(3), (None, "a", ())], {"q": Fraction(-1, 6)})
+    form = [1, "1/2", [3, [None, "a", []]], {"q": "-1/6"}]
+    assert json_value(value) == form
+    assert json.loads(json.dumps(json_value(value))) == form
+
+
+@pytest.mark.parametrize("value", [0.5, 1j, {1, 2}, object(), (1, [2.0])])
+def test_json_value_refuses_an_inexact_or_unknown_value(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        json_value(value)

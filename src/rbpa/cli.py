@@ -150,12 +150,11 @@ def cmd_egf(args) -> int:
     return 0
 
 
-# The oracle visits (r+j)^n assignments at each n and fills r + j
-# section counters for each, so its work up to n_max is about
-# (r+j)^(n_max+1); the bound refuses more than ORACLE_WORK_MAX before
-# anything is enumerated. The slowest allowed runs take a few seconds.
+# The oracle's work up to n_max is about (r+j)^(n_max+1), the bound
+# `oracle.enumerate_rbpa` puts on its largest n; it is checked here as
+# well so that an oversized run is a usage error with its own message.
+# The slowest allowed runs take a few seconds.
 ORACLE_CLI_MAX = 7
-ORACLE_WORK_MAX = 10**7
 
 
 def cmd_oracle(args) -> int:
@@ -163,9 +162,9 @@ def cmd_oracle(args) -> int:
         raise UsageError(f"--n-max must be between 0 and {ORACLE_CLI_MAX}")
     if args.r < 0 or args.j < 0:
         raise UsageError("--r and --j must be >= 0")
-    if (args.r + args.j) ** (args.n_max + 1) > ORACLE_WORK_MAX:
+    if (args.r + args.j) ** (args.n_max + 1) > oracle.ORACLE_WORK_MAX:
         raise UsageError(
-            f"(r+j)^(n_max+1) must be at most {ORACLE_WORK_MAX}; "
+            f"(r+j)^(n_max+1) must be at most {oracle.ORACLE_WORK_MAX}; "
             "lower --r, --j or --n-max"
         )
     vals = [oracle.enumerate_rbpa(n, args.r, args.j) for n in range(args.n_max + 1)]

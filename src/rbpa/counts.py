@@ -3,7 +3,7 @@ j free sections, computed by four routes.
 
 * p_egf            coefficient extraction from e^{rm} / (2 - e^m)^j
 * p_binomial_shift finite binomial sum over the r = 0 column
-* p_recurrence     recursion on j with memoization
+* p_recurrence     the recurrence on j, one row per (r, j) grown by a loop
 * p_series_certified / p_double_sum
                    the two infinite-series forms, made finite by an
                    explicit tail certificate resp. a vanishing-
@@ -24,12 +24,20 @@ p^base_j(n) = sum_s C(n,s) base^s p^0_j(n-s) is a degree-n polynomial
 in base; `_shift_coeffs(j, n)` caches its coefficients once per (j, n)
 and `_shifted_value` evaluates it by Horner's rule, so the series and
 the double sum, which ask for many bases at one (j, n), pay the
-binomials once. The double sum evaluates each shifted value once. The
-certified series never evaluates a term: its scaled partial sum
-sum_{s<S} v_s * 2^(S-1-s) is a combination of the power moments
-sum_{s<S} (r+s)^k * 2^(S-1-s), k <= n, which obey a recurrence in k,
-so it costs O(n^2) integer operations whatever the truncation index S
-and is rounded by one shift. None of these sums builds a Fraction.
+binomials once. The double sum evaluates each shifted value once and
+takes all of its inner alternating sums from one difference table,
+by subtraction alone. The certified series never evaluates a term:
+its scaled partial sum sum_{s<S} v_s * 2^(S-1-s) is a combination of
+the power moments sum_{s<S} (r+s)^k * 2^(S-1-s), k <= n, which obey a
+recurrence in k, so it costs O(n^2) integer operations whatever the
+truncation index S and is rounded by one shift. None of these sums
+builds a Fraction.
+
+p_recurrence keeps rows of its own, one per (r, j) with j >= 1,
+extended by a loop over n and the levels 1..j below it, never by a
+nested call. A row is published as a new, longer tuple and never
+appended to in place, so threads that race on a cold row cannot
+corrupt it.
 
 Every public route takes r, j and n through `operator.index`, so a
 float or a string is a TypeError, never a truncated or float value.
@@ -39,7 +47,9 @@ module only computes.
 
 from __future__ import annotations
 
+import math
 import operator
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -124,23 +134,61 @@ def p_binomial_shift(r: int, j: int, n: int) -> int:
     return _shifted_value(r, j, n)
 
 
-@lru_cache(maxsize=None, typed=True)
+# (r, j) -> p^r_j(0..len - 1) for j >= 1, grown by _recurrence_row;
+# the lock makes replacing a row with a longer one a single step
+_recurrence_rows: dict[tuple[int, int], tuple[int, ...]] = {}
+_recurrence_lock = threading.Lock()
+
+
+def _recurrence_row(r: int, j: int, n: int) -> list[int]:
+    """p^r_j(0..n) by the recurrence on j, extending the rows of levels 1..j.
+
+    Level i at index m is p^r_{i-1}(m) + sum_{s<m} C(m,s) p^r_i(s), with
+    level 0 the powers r^m and every level starting at p^r_i(0) = 1.
+    The loop runs over m outside and the levels inside, so one Pascal
+    row serves every level and no level nests a call for the one below.
+    Each level is extended in a private list from the longest row built
+    so far and published as a new tuple, and only if it is longer than
+    the row it replaces, so a racing thread never sees a row change
+    under it and a published row never shrinks.
+    """
+    keys = [(r, i) for i in range(1, j + 1)]
+    levels = [list(_recurrence_rows.get(key, (1,))) for key in keys]
+    start = min(map(len, levels))
+    pascal = [math.comb(start, s) for s in range(start + 1)]  # C(m, 0..m)
+    power = r**start  # r^m, level 0
+    for m in range(start, n + 1):
+        below = power
+        for level in levels:
+            if len(level) == m:
+                level.append(below + sum(map(operator.mul, pascal, level)))
+            below = level[m]
+        pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
+        power *= r
+    with _recurrence_lock:
+        for key, level in zip(keys, levels):
+            if len(level) > len(_recurrence_rows.get(key, ())):
+                _recurrence_rows[key] = tuple(level)
+    return levels[-1]
+
+
 def p_recurrence(r: int, j: int, n: int) -> int:
     """p^r_j(n) = p^r_{j-1}(n) + sum_{s<n} C(n,s) p^r_j(s), base p^r_0 = r^n.
 
-    The cache is typed, so a float argument equal to an int never hits
-    the int's entry and is refused by the check below.
+    Reads row (r, j) of the recurrence, extending it and the rows below
+    it by a loop when it is shorter than n + 1, so a large j or n needs
+    no deep recursion. The arguments are taken through operator.index
+    before any row is read, so a float never answers from a warm row.
     """
     r, j, n = operator.index(r), operator.index(j), operator.index(n)
     if r < 0 or j < 0 or n < 0:
         raise ValueError("r, j, n must be >= 0")
     if j == 0:
         return int_pow(r, n)
-    if n == 0:
-        return 1
-    return p_recurrence(r, j - 1, n) + sum(
-        binomial(n, s) * p_recurrence(r, j, s) for s in range(n)
-    )
+    row = _recurrence_rows.get((r, j), ())
+    if n < len(row):
+        return row[n]
+    return _recurrence_row(r, j, n)[n]
 
 
 @lru_cache(maxsize=None)
@@ -171,35 +219,46 @@ def _shifted_value(base: int, j: int, n: int) -> int:
     return total
 
 
+def _forward_differences(values: list[int]) -> list[int]:
+    """Delta^k values[0] = sum_{s<=k} C(k,s)(-1)^s values[k-s], k < len(values).
+
+    Read off the leading edge of one difference table, each row the
+    pairwise differences of the row above, so the table costs
+    subtractions only: no binomial, sign or product.
+    """
+    edge = []
+    while values:
+        edge.append(values[0])
+        values = list(map(operator.sub, values[1:], values))
+    return edge
+
+
 def p_double_sum(r: int, j: int, n: int) -> int:
     """p^r_j(n) = sum_k sum_{s<=k} C(k,s)(-1)^s p^{r+k-s}_{j-1}(n), j >= 1.
 
     The inner alternating sum is the k-th finite difference of a
     degree-n polynomial in the shift variable, so terms with k > n
     vanish; the outer sum is truncated at k = n and the next three
-    inner sums are recomputed and checked to be zero.
+    inner sums are checked to be zero. The n + 4 shifted values are
+    each evaluated on their own, and the inner sums are taken from
+    their difference table (`_forward_differences`).
     """
     r, j, n = operator.index(r), operator.index(j), operator.index(n)
     if j < 1:
         raise ValueError("the double-sum form needs j >= 1")
     if r < 0 or n < 0:
         raise ValueError("r, n must be >= 0")
-    # shifted[t] = p^{r+t}_{j-1}(n); inner sum k reads shifted[0..k]
-    shifted = [_shifted_value(r + t, j - 1, n) for t in range(n + 4)]
-
-    def inner(k: int) -> int:
-        return sum(
-            binomial(k, s) * (-1) ** s * shifted[k - s] for s in range(k + 1)
-        )
-
-    total = sum(inner(k) for k in range(n + 1))
+    # inner sum k is the k-th forward difference of shifted[t] =
+    # p^{r+t}_{j-1}(n) at t = 0, and reads shifted[0..k] only
+    inner = _forward_differences(
+        [_shifted_value(r + t, j - 1, n) for t in range(n + 4)]
+    )
     for k in (n + 1, n + 2, n + 3):
-        leftover = inner(k)
-        if leftover != 0:
+        if inner[k] != 0:
             raise ArithmeticError(
-                f"inner sum at k={k} should vanish, got {leftover}"
+                f"inner sum at k={k} should vanish, got {inner[k]}"
             )
-    return total
+    return sum(inner[: n + 1])
 
 
 def _certify_truncation(r: int, j: int, n: int) -> TailCertificate:
@@ -268,12 +327,10 @@ def _polynomial_round(
     low, high = 1, 1  # base^k and (base+S)^k
     total = 0
     for coeff in coeffs:
-        moment = (low << t) - high + sum(
-            c * a for c, a in zip(pascal, moments)
-        )
+        moment = (low << t) - high + sum(map(operator.mul, pascal, moments))
         moments.append(moment)
         total += coeff * moment
-        pascal = [1, *(a + b for a, b in zip(pascal, pascal[1:])), 1]
+        pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
         low *= base
         high *= base + t
     return (2 * total + (1 << t)) >> (t + 1)

@@ -27,6 +27,10 @@ Section = tuple  # tuple of Blocks, order significant
 Structure = tuple  # tuple of Sections
 
 MAX_N = 9  # count grows super-exponentially past this
+# An enumeration over k sections visits k^n assignments and fills k
+# section counters for each, so its work is about k^(n+1); more than
+# this is refused before anything is allocated or enumerated.
+ORACLE_WORK_MAX = 10**7
 
 
 class SizeLimitError(ValueError):
@@ -38,6 +42,15 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > MAX_N:
         raise SizeLimitError(f"n = {n} exceeds enumeration limit {MAX_N}")
+
+
+def _check_work(n: int, sections: int) -> None:
+    """Refuse sections^(n+1) > ORACLE_WORK_MAX; n must have passed _check_size."""
+    if sections ** (n + 1) > ORACLE_WORK_MAX:
+        raise SizeLimitError(
+            f"{sections} sections at n = {n} exceed the enumeration work "
+            f"limit {ORACLE_WORK_MAX}"
+        )
 
 
 def ordered_set_partitions(elements: Sequence[int]) -> Iterator[Section]:
@@ -84,6 +97,7 @@ def enumerate_rbpa(n: int, r: int, j: int) -> int:
     if r < 0 or j < 0:
         raise ValueError("r and j must be >= 0")
     k = r + j
+    _check_work(n, k)
     total = 0
     for assignment in itertools.product(range(k), repeat=n):
         sizes = [0] * k
@@ -104,10 +118,11 @@ def iter_rbpa(n: int, kinds: Sequence[str]) -> Iterator[Structure]:
     duplicates and permute the restricted-section placement.
     """
     _check_size(n)
+    k = len(kinds)
+    _check_work(n, k)
     for kind in kinds:
         if kind not in ("restricted", "free"):
             raise ValueError(f"unknown section kind {kind!r}")
-    k = len(kinds)
     elements = range(1, n + 1)
     for assignment in itertools.product(range(k), repeat=n):
         members: list[list[int]] = [[] for _ in range(k)]
@@ -146,6 +161,7 @@ def enumerate_rbpa_with_empty(n: int, bars: int, i: int, jj: int) -> int:
     if bars < 0:
         raise ValueError("bars must be >= 0")
     k = bars + 1
+    _check_work(n, k)
     if not (0 <= i < k and 0 <= jj < k):
         raise IndexError(f"section indices must lie in 0..{k - 1}")
     if i == jj:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import floor
 
@@ -281,6 +283,77 @@ def test_double_sum_vanishing_check_catches_a_wrong_high_base(
     monkeypatch.setattr(counts, "_shifted_value", off_by_one)
     with pytest.raises(ArithmeticError, match=f"k={n + 1} should vanish"):
         p_double_sum(r, j, n)
+
+
+@pytest.mark.parametrize("r, j, n", [
+    (r, j, n) for r in (0, 1, 4) for j in (1, 2, 4) for n in (0, 1, 2, 7, 15)
+])
+def test_difference_table_gives_the_literal_inner_sums(r, j, n):
+    # every inner sum the double sum reads, the vanishing ones included
+    shifted = [counts._shifted_value(r + t, j - 1, n) for t in range(n + 4)]
+    inner = counts._forward_differences(shifted)
+    assert len(inner) == n + 4
+    for k in range(n + 4):
+        assert inner[k] == sum(
+            binomial(k, s) * (-1) ** s * shifted[k - s] for s in range(k + 1)
+        )
+
+
+def test_recurrence_in_j_needs_no_deep_recursion(monkeypatch):
+    # the memoized recursion nested one call per level of j, so j = 500
+    # overflowed the interpreter's default recursion limit
+    monkeypatch.setattr(counts, "_recurrence_rows", {})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        value = p_recurrence(0, 600, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == p_egf(0, 600, 2)[2]
+    assert sorted(counts._recurrence_rows) == [(0, i) for i in range(1, 601)]
+
+
+def test_recurrence_rows_grown_in_any_order_match_the_series(monkeypatch):
+    monkeypatch.setattr(counts, "_recurrence_rows", {})
+    requests = [(r, j, n) for r in range(4) for j in range(1, 4)
+                for n in range(0, 25, 3)]
+    random.Random(11).shuffle(requests)
+    for r, j, n in requests:
+        assert p_recurrence(r, j, n) == p_egf(r, j, n)[n], (r, j, n)
+    for (r, j), row in counts._recurrence_rows.items():
+        assert type(row) is tuple
+        assert row == p_egf(r, j, len(row) - 1).values
+
+
+def test_cold_recurrence_rows_built_by_racing_threads_stay_correct(monkeypatch):
+    monkeypatch.setattr(counts, "_recurrence_rows", {})
+    r, j = 3, 4
+    targets = (40, 70, 100, 130)  # each thread extends the rows further
+    start = threading.Barrier(len(targets))
+    got = {}
+
+    def build(n):
+        start.wait()
+        got[n] = p_recurrence(r, j, n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the row loop
+    try:
+        threads = [threading.Thread(target=build, args=(n,)) for n in targets]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expect = p_egf(r, j, max(targets)).values
+    assert got == {n: expect[n] for n in targets}
+    # the longest build wins whatever the order: no row is replaced by
+    # a shorter one, and each is the exact prefix of the series
+    assert sorted(counts._recurrence_rows) == [(r, i) for i in range(1, j + 1)]
+    for (_, i), row in counts._recurrence_rows.items():
+        assert row == p_egf(r, i, max(targets)).values
 
 
 def test_tail_certificate_bounds_the_exact_tail():

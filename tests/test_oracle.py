@@ -63,6 +63,38 @@ def test_enumerate_rbpa_validates():
         oracle.enumerate_rbpa(2, -1, 1)
 
 
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("enumerated")
+
+
+@pytest.mark.parametrize("n, r, j", [
+    (9, 100, 0),      # 10^18 assignments
+    (0, 10**9, 0),    # one assignment, but a billion section counters
+    (6, 10, 1),       # 11^7 is just over the bound
+])
+def test_enumerate_rbpa_refuses_a_large_run_at_once(monkeypatch, n, r, j):
+    monkeypatch.setattr(oracle.itertools, "product", _no_enumeration)
+    with pytest.raises(oracle.SizeLimitError, match="work limit"):
+        oracle.enumerate_rbpa(n, r, j)
+
+
+def test_enumerate_rbpa_runs_at_the_work_bound(monkeypatch):
+    # 10^(6+1) is allowed; an empty product stands in for the enumeration
+    assert oracle.ORACLE_WORK_MAX == 10**7
+    monkeypatch.setattr(oracle.itertools, "product", lambda *a, **k: iter(()))
+    assert oracle.enumerate_rbpa(6, 3, 7) == 0
+
+
+def test_iter_rbpa_and_with_empty_refuse_a_large_run_at_once(monkeypatch):
+    monkeypatch.setattr(oracle.itertools, "product", _no_enumeration)
+    with pytest.raises(oracle.SizeLimitError, match="work limit"):
+        next(oracle.iter_rbpa(9, ("free",) * 6))
+    with pytest.raises(oracle.SizeLimitError, match="work limit"):
+        next(oracle.iter_rbpa(6, ("mystery",) * 11))  # before the kinds
+    with pytest.raises(oracle.SizeLimitError, match="work limit"):
+        oracle.enumerate_rbpa_with_empty(9, 5, 0, 1)
+
+
 def test_iter_rbpa_matches_count_and_is_duplicate_free():
     for kinds in [("free",), ("restricted", "free"), ("free", "restricted", "free")]:
         r = kinds.count("restricted")

@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -138,6 +139,12 @@ def p_binomial_shift(r: int, j: int, n: int) -> int:
 # the lock makes replacing a row with a longer one a single step
 _recurrence_rows: dict[tuple[int, int], tuple[int, ...]] = {}
 _recurrence_lock = threading.Lock()
+# p_recurrence calls with j, n >= 1 answered from a stored row (hits)
+# and calls that had to grow one (misses)
+_recurrence_hits = 0
+_recurrence_misses = 0
+
+RowCacheInfo = namedtuple("RowCacheInfo", "hits misses currsize")
 
 
 def _recurrence_row(r: int, j: int, n: int) -> list[int]:
@@ -152,6 +159,7 @@ def _recurrence_row(r: int, j: int, n: int) -> list[int]:
     the row it replaces, so a racing thread never sees a row change
     under it and a published row never shrinks.
     """
+    global _recurrence_misses
     keys = [(r, i) for i in range(1, j + 1)]
     levels = [list(_recurrence_rows.get(key, (1,))) for key in keys]
     start = min(map(len, levels))
@@ -166,6 +174,7 @@ def _recurrence_row(r: int, j: int, n: int) -> list[int]:
         pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
         power *= r
     with _recurrence_lock:
+        _recurrence_misses += 1
         for key, level in zip(keys, levels):
             if len(level) > len(_recurrence_rows.get(key, ())):
                 _recurrence_rows[key] = tuple(level)
@@ -179,16 +188,35 @@ def p_recurrence(r: int, j: int, n: int) -> int:
     it by a loop when it is shorter than n + 1, so a large j or n needs
     no deep recursion. The arguments are taken through operator.index
     before any row is read, so a float never answers from a warm row.
+    `p_recurrence.cache_info()` counts the calls answered from a row
+    (hits) and those that grew one (misses).
     """
+    global _recurrence_hits
     r, j, n = operator.index(r), operator.index(j), operator.index(n)
     if r < 0 or j < 0 or n < 0:
         raise ValueError("r, j, n must be >= 0")
     if j == 0:
         return int_pow(r, n)
+    if n == 0:
+        return 1
     row = _recurrence_rows.get((r, j), ())
     if n < len(row):
+        _recurrence_hits += 1
         return row[n]
     return _recurrence_row(r, j, n)[n]
+
+
+def _recurrence_cache_info() -> RowCacheInfo:
+    """Hits, misses and stored rows of p_recurrence, as lru_cache reports them.
+
+    Counts are exact for one thread; racing threads may lose a hit.
+    """
+    return RowCacheInfo(_recurrence_hits, _recurrence_misses, len(_recurrence_rows))
+
+
+# the benchmark's tracer counts hits and misses by the public name, as
+# for the lru_cache'd routes
+p_recurrence.cache_info = _recurrence_cache_info
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ the assignments again per pair.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -50,6 +51,39 @@ def _check_work(n: int, sections: int) -> None:
         raise SizeLimitError(
             f"{sections} sections at n = {n} exceed the enumeration work "
             f"limit {ORACLE_WORK_MAX}"
+        )
+
+
+def _check_arrangements(n: int, kinds: Sequence[str]) -> None:
+    """Refuse more than ORACLE_WORK_MAX structures from iter_rbpa(n, kinds).
+
+    The count only gates the run and never enters a result. It is taken
+    section by section over labelled elements: r restricted sections
+    take m elements in r^m ways, one block or none each, and each free
+    section takes t of them in a(t) ways, a(t) the ordered set
+    partitions of t elements counted by their leading block, the way
+    `ordered_set_partitions` lists them. Adding a free section never
+    lowers the count, so the loop stops once the limit is passed.
+    """
+    if n == 0:
+        return  # one structure, whatever the sections
+    free = sum(kind == "free" for kind in kinds)
+    restricted = len(kinds) - free
+    osp = [1]
+    for t in range(1, n + 1):
+        osp.append(sum(math.comb(t, s) * osp[t - s] for s in range(1, t + 1)))
+    ways = [restricted**m for m in range(n + 1)]
+    for _ in range(free):
+        if ways[n] > ORACLE_WORK_MAX:
+            break
+        ways = [
+            sum(math.comb(m, t) * osp[t] * ways[m - t] for t in range(m + 1))
+            for m in range(n + 1)
+        ]
+    if ways[n] > ORACLE_WORK_MAX:
+        raise SizeLimitError(
+            f"more than {ORACLE_WORK_MAX} arrangements at n = {n} over "
+            f"{len(kinds)} sections exceed the enumeration work limit"
         )
 
 
@@ -110,12 +144,33 @@ def enumerate_rbpa(n: int, r: int, j: int) -> int:
     return total
 
 
+def _section_forms(kind: str, members: list[int]) -> Iterator[Section]:
+    """The forms one section takes on its members, generated as used.
+
+    A restricted section holds its members as one block (or nothing),
+    a free section any ordered set partition of them.
+    """
+    if kind == "free":
+        return ordered_set_partitions(members)
+    return iter(((frozenset(members),) if members else (),))
+
+
 def iter_rbpa(n: int, kinds: Sequence[str]) -> Iterator[Structure]:
     """Materialize every arrangement of {1..n} over the given sections.
 
     kinds is a sequence of "restricted" / "free" markers, one per
     section, in section order. Exists so tests can hash structures for
-    duplicates and permute the restricted-section placement.
+    duplicates and permute the restricted-section placement. A run whose
+    k^(n+1) assignment work over k sections, or whose number of
+    structures, exceeds ORACLE_WORK_MAX is refused before the first is
+    built.
+
+    Structures come in the order of itertools.product over the
+    sections' forms, built one at a time. Within one assignment a
+    section holding all but at most one element is the only one with
+    more than one form, and its forms are generated as they are used;
+    otherwise every section holds at most n - 2 <= 7 elements, so at
+    most 47293 forms, and they are listed.
     """
     _check_size(n)
     k = len(kinds)
@@ -123,22 +178,27 @@ def iter_rbpa(n: int, kinds: Sequence[str]) -> Iterator[Structure]:
     for kind in kinds:
         if kind not in ("restricted", "free"):
             raise ValueError(f"unknown section kind {kind!r}")
+    _check_arrangements(n, kinds)
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
     elements = range(1, n + 1)
     for assignment in itertools.product(range(k), repeat=n):
         members: list[list[int]] = [[] for _ in range(k)]
         for elem, sec in zip(elements, assignment):
             members[sec].append(elem)
-        per_section = []
-        for sec in range(k):
-            if kinds[sec] == "restricted":
-                sec_forms = [()] if not members[sec] else [
-                    (frozenset(members[sec]),)
-                ]
-            else:
-                sec_forms = list(ordered_set_partitions(members[sec]))
-            per_section.append(sec_forms)
-        for combo in itertools.product(*per_section):
-            yield tuple(combo)
+        per_section = [
+            _section_forms(kind, group) for kind, group in zip(kinds, members)
+        ]
+        wide = max(range(k), key=lambda sec: len(members[sec]))
+        if len(members[wide]) >= n - 1:
+            head = tuple(next(forms) for forms in per_section[:wide])
+            tail = tuple(next(forms) for forms in per_section[wide + 1:])
+            for form in per_section[wide]:
+                yield (*head, form, *tail)
+        else:
+            yield from itertools.product(*map(list, per_section))
 
 
 @lru_cache(maxsize=None)

@@ -311,6 +311,24 @@ def test_recurrence_in_j_needs_no_deep_recursion(monkeypatch):
         sys.setrecursionlimit(limit)
     assert value == p_egf(0, 600, 2)[2]
     assert sorted(counts._recurrence_rows) == [(0, i) for i in range(1, 601)]
+    # n = 0 is 1 at once, with no row built for any level
+    counts._recurrence_rows.clear()
+    assert p_recurrence(0, 10**7, 0) == 1
+    assert counts._recurrence_rows == {}
+
+
+def test_recurrence_cache_info_counts_row_hits_and_misses(monkeypatch):
+    monkeypatch.setattr(counts, "_recurrence_rows", {})
+    monkeypatch.setattr(counts, "_recurrence_hits", 0)
+    monkeypatch.setattr(counts, "_recurrence_misses", 0)
+    p_recurrence(2, 3, 10)  # grows rows (2, 1..3): one miss
+    p_recurrence(2, 3, 4)  # read from row (2, 3)
+    p_recurrence(2, 2, 10)  # read from row (2, 2), built on the way
+    p_recurrence(2, 3, 0)  # n = 0 and j = 0 read no row
+    p_recurrence(2, 0, 5)
+    p_recurrence(2, 3, 11)  # one past the row: a second miss
+    info = p_recurrence.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 3)
 
 
 def test_recurrence_rows_grown_in_any_order_match_the_series(monkeypatch):

@@ -95,6 +95,67 @@ def test_iter_rbpa_and_with_empty_refuse_a_large_run_at_once(monkeypatch):
         oracle.enumerate_rbpa_with_empty(9, 5, 0, 1)
 
 
+def test_iter_rbpa_refuses_too_many_structures_at_once(monkeypatch):
+    # 5^10 assignment work passes, but p^0_5(9) structures would not
+    monkeypatch.setattr(oracle.itertools, "product", _no_enumeration)
+    with pytest.raises(oracle.SizeLimitError, match="arrangements"):
+        next(oracle.iter_rbpa(9, ("free",) * 5))
+    with pytest.raises(oracle.SizeLimitError, match="arrangements"):
+        oracle.count_some_section_at_most_one_block(9, 2, 1)
+
+
+@pytest.mark.parametrize("kinds", [
+    (), ("free",), ("restricted",), ("free", "free"),
+    ("restricted", "free"), ("free", "restricted", "free"),
+    ("restricted", "restricted", "free"),
+])
+def test_iter_rbpa_bound_counts_exactly_the_structures(monkeypatch, kinds):
+    for n in range(6):
+        count = sum(1 for _ in oracle.iter_rbpa(n, kinds))
+        monkeypatch.setattr(oracle, "ORACLE_WORK_MAX", max(count, 1))
+        oracle._check_arrangements(n, kinds)  # exactly at the bound
+        if count > 1:
+            monkeypatch.setattr(oracle, "ORACLE_WORK_MAX", count - 1)
+            with pytest.raises(oracle.SizeLimitError, match="arrangements"):
+                oracle._check_arrangements(n, kinds)
+        monkeypatch.undo()
+
+
+def test_iter_rbpa_yields_in_product_order_of_listed_forms():
+    def listed(n, kinds):
+        for assignment in itertools.product(range(len(kinds)), repeat=n):
+            forms = []
+            for sec, kind in enumerate(kinds):
+                members = [e for e, s in zip(range(1, n + 1), assignment) if s == sec]
+                if kind == "free":
+                    forms.append(list(oracle.ordered_set_partitions(members)))
+                else:
+                    forms.append([(frozenset(members),) if members else ()])
+            yield from itertools.product(*forms)
+
+    for kinds in [("free", "free"), ("restricted", "free", "free"),
+                  ("free", "restricted", "free")]:
+        for n in range(6):
+            assert list(oracle.iter_rbpa(n, kinds)) == list(listed(n, kinds))
+
+
+def test_iter_rbpa_generates_a_wide_section_as_used(monkeypatch):
+    # listing the 47293 ordered set partitions of 7 elements to yield
+    # the first structure would pass through every level of them
+    made = []
+    generate = oracle.ordered_set_partitions
+
+    def counted(elements):
+        for form in generate(elements):
+            made.append(form)
+            yield form
+
+    monkeypatch.setattr(oracle, "ordered_set_partitions", counted)
+    first = next(oracle.iter_rbpa(7, ("free", "restricted")))
+    assert first == (tuple(frozenset({e}) for e in range(1, 8)), ())
+    assert len(made) < 100
+
+
 def test_iter_rbpa_matches_count_and_is_duplicate_free():
     for kinds in [("free",), ("restricted", "free"), ("free", "restricted", "free")]:
         r = kinds.count("restricted")

@@ -14,9 +14,11 @@ Three independent routes to the same numbers live here:
   shift of the B values.
 
 The sums add in ints. A positive upper index makes a value rational;
-`poly_bernoulli` then scales every term to one common denominator and
-builds a single Fraction at the end, and only `u_stirling_sum`'s
-chain rows hold Fractions.
+`poly_bernoulli` and `u_stirling_sum` then scale every term to one
+common denominator and build a single Fraction at the end. Where a
+Fraction value is known to be an integer (B and U at non-positive
+indices), `as_int` takes its int and refuses a non-integral one, so a
+wrong rational never passes as a truncated int.
 
 Every public B and U route takes n and each index entry through
 `operator.index`, so a float or a string is a TypeError, never a
@@ -113,10 +115,9 @@ def _mu_table(idx: MultiIndex) -> MuTable:
     return MuTable(index=idx, weight=sum(idx), coefficients=coeffs)
 
 
-# the cache lives on _mu_table; code that counts or clears it by the
-# public name (the benchmark's tracer, the tests) reads these
+# the cache lives on _mu_table; the benchmark's tracer counts it by the
+# public name
 mu_table.cache_info = _mu_table.cache_info
-mu_table.cache_clear = _mu_table.cache_clear
 
 
 def _b_values(idx: MultiIndex, n_min: int, n_max: int) -> list[int]:
@@ -294,32 +295,43 @@ def w_family(r: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _chain_power_rows(indices: tuple, t_max: int) -> tuple[int | Fraction, ...]:
-    """T_b(t) = sum over 0 < s_1 < ... < s_b = t of prod factor(s_i, k_i).
+def _chain_power_rows(indices: tuple, t_max: int) -> tuple[tuple[int, ...], int]:
+    """T_b(t) = sum over 0 < s_1 < ... < s_b = t of prod s_i^{-k_i}, in ints.
 
-    factor(t, k) is t^{-k}: an int for k <= 0 and a Fraction only for
-    k > 0, so the sums stay in ints until a positive index makes a term
-    rational. indices are the actual signed upper indices. Built depth
-    by depth with running prefix sums, so entry t never depends on
-    t_max and a shorter row is a slice of a longer one.
+    indices are the actual signed upper indices. Returns (row, exponent)
+    with exponent the sum of the positive indices: entry t of row is
+    T_b(t) lcm(1..t)^exponent, an int because every s_i <= t divides
+    lcm(1..t). With no positive index the exponent is 0 and the row is
+    T_b itself. Built depth by depth with running prefix sums; a prefix
+    sum moves from scale lcm(1..t-1) to lcm(1..t) by one multiplication
+    where t is a prime power, so entry t never depends on t_max and a
+    shorter row is a slice of a longer one.
     """
+    lcms = [1] * (t_max + 1)  # lcm(1..t), read only for a positive index
+    if max(indices) > 0:
+        for t in range(2, t_max + 1):
+            lcms[t] = math.lcm(lcms[t - 1], t)
 
-    def factor(t: int, k: int) -> int | Fraction:
+    def factor(t: int, k: int) -> int:  # t^{-k} lcm(1..t)^{max(k, 0)}
         if k > 0:
-            return Fraction(1, int_pow(t, k))
+            return int_pow(lcms[t] // t, k)
         return int_pow(t, -k)
 
     chain = [0] * (t_max + 1)
     for t in range(1, t_max + 1):
         chain[t] = factor(t, indices[0])
-    for depth in range(1, len(indices)):
-        running = 0
+    exponent = max(indices[0], 0)
+    for k in indices[1:]:
+        running = 0  # sum_{s<t} T(s) lcm(1..t)^exponent, T the depth below
         nxt = [0] * (t_max + 1)
         for t in range(1, t_max + 1):
             running += chain[t - 1]
-            nxt[t] = factor(t, indices[depth]) * running
+            if exponent and lcms[t] != lcms[t - 1]:
+                running *= int_pow(lcms[t] // lcms[t - 1], exponent)
+            nxt[t] = factor(t, k) * running
         chain = nxt
-    return tuple(chain)
+        exponent += max(k, 0)
+    return tuple(chain), exponent
 
 
 # indices -> t_max of the longest _chain_power_rows built for them
@@ -330,7 +342,11 @@ def u_stirling_sum(indices: Sequence[int], n: int) -> Fraction:
     """U for arbitrary signed upper indices, as a finite Stirling sum.
 
     (-1)^{n+1} sum_{t=b}^{n+b} T_b(t) (-1)^{t-b+1} (t-b)! {n+1 brace t-b+1},
-    with T_b the chain sums over increasing tuples ending at t.
+    with T_b the chain sums over increasing tuples ending at t. The
+    terms add in ints. With a positive index, chain entry t carries the
+    scale lcm(1..t)^K, K the sum of the positive indices; the running
+    total is raised to each new scale as t passes a prime power, and
+    one Fraction is built over lcm(1..n+b)^K at the end.
     """
     idx = tuple(operator.index(e) for e in indices)
     n = operator.index(n)
@@ -339,25 +355,45 @@ def u_stirling_sum(indices: Sequence[int], n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     b = len(idx)
-    chain = _chain_power_rows(idx, grown_order(_chain_orders, idx, n + b))
+    chain, exponent = _chain_power_rows(
+        idx, grown_order(_chain_orders, idx, n + b)
+    )
     row = stirling2_row(n + 1)
     # the two signs merge: (-1)^{n+1} (-1)^{t-b+1} (t-b)! runs from (-1)^n
     total, weight = 0, (-1) ** n
-    for m in range(n + 1):  # m = t - b
-        total += chain[b + m] * weight * row[m + 1]
+    if not exponent:
+        for m in range(n + 1):  # m = t - b
+            total += chain[b + m] * weight * row[m + 1]
+            weight *= -(m + 1)
+        return Fraction(total)
+    den = math.lcm(*range(1, b + 1))  # lcm(1..t) at t = b
+    for m in range(n + 1):
+        t = b + m
+        step = t // math.gcd(den, t)  # lcm(1..t) / lcm(1..t-1)
+        if step > 1:
+            den *= step
+            total *= int_pow(step, exponent)
+        total += chain[t] * (weight * row[m + 1])
         weight *= -(m + 1)
-    return Fraction(total)
+    return Fraction(total, int_pow(den, exponent))
+
+
+def as_int(value: Fraction) -> int:
+    """The int an integral Fraction (or int) equals; ArithmeticError otherwise.
+
+    For B and U values that are integers but come back as Fractions:
+    reading .numerator unchecked would turn a wrong rational into a
+    plausible int.
+    """
+    if value.denominator != 1:
+        raise ArithmeticError(f"expected an integral value, got {value}")
+    return value.numerator
 
 
 def u_number(idx: Sequence[int], n: int) -> int:
     """U for upper index (-j_1, ..., -j_b); always an integer."""
     idx = as_multi_index(idx)
-    value = u_stirling_sum(tuple(-e for e in idx), n)
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"U at non-positive indices must be integral, got {value}"
-        )
-    return value.numerator
+    return as_int(u_stirling_sum(tuple(-e for e in idx), n))
 
 
 def u_via_shift(idx: Sequence[int], n: int) -> int:
@@ -403,22 +439,25 @@ def corollary_convolution(j: int, b: int, n: int) -> tuple[int, Fraction]:
 
     Returns multi_poly_bernoulli((j, 0^{b-1}), n) and the convolution
     sum_s C(n,s) B^{(0^{b-1})}_s B^{(-j)}_{n-s}; the b = 1 edge reads
-    the empty-index factor as [s = 0].
+    the empty-index factor as [s = 0]. The convolution adds the
+    integral poly_bernoulli values as ints, each taken by `as_int`, so
+    a non-integral value raises ArithmeticError; it is returned as a
+    Fraction.
     """
     if b < 1:
         raise ValueError("b must be >= 1")
     if j < 0 or n < 0:
         raise ValueError("j and n must be >= 0")
     lhs = multi_poly_bernoulli((j,) + (0,) * (b - 1), n)
-    rhs = Fraction(0)
+    rhs = 0
     for s in range(n + 1):
         if b == 1:
             zeros_factor = 1 if s == 0 else 0
         else:
             zeros_factor = multi_poly_bernoulli((0,) * (b - 1), s)
         if zeros_factor:
-            rhs += binomial(n, s) * zeros_factor * poly_bernoulli(-j, n - s)
-    return lhs, rhs
+            rhs += binomial(n, s) * zeros_factor * as_int(poly_bernoulli(-j, n - s))
+    return lhs, Fraction(rhs)
 
 
 def corollary_convolution_check(j: int, b: int, n: int) -> bool:
@@ -450,3 +489,12 @@ def reciprocal_coefficient(r: int, n: int) -> int:
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     return _reciprocal_row(r, grown_order(_reciprocal_orders, r, n))[n]
+
+
+def clear_caches() -> None:
+    """Empty every cache and row table this module keeps, as at import."""
+    for cached in (_mu_table, poly_bernoulli, _z_power_rows,
+                   _chain_power_rows, _reciprocal_row):
+        cached.cache_clear()
+    _chain_orders.clear()
+    _reciprocal_orders.clear()

@@ -88,3 +88,10 @@ def grown_order(orders: dict, key, n: int) -> int:
         longest = n if longest is None else max(n, 2 * longest)
         orders[key] = longest
     return longest
+
+
+def clear_caches() -> None:
+    """Empty the Stirling row cache and reseed its table, as at import."""
+    stirling2_row.cache_clear()
+    _stirling_rows.clear()
+    _stirling_rows[0] = (1,)

@@ -417,3 +417,18 @@ def last_digit_cycle_check(values, offset: int) -> bool:
     return all(
         vals[i] % 10 == vals[i + 4] % 10 for i in range(len(vals) - 4)
     )
+
+
+def clear_caches() -> None:
+    """Empty every cache and row table this module keeps, as at import.
+
+    The recurrence rows go with their hit and miss counts, as
+    cache_clear resets an lru_cache's.
+    """
+    global _recurrence_hits, _recurrence_misses
+    _p_row.cache_clear()
+    _row_orders.clear()
+    _shift_coeffs.cache_clear()
+    with _recurrence_lock:
+        _recurrence_rows.clear()
+        _recurrence_hits = _recurrence_misses = 0

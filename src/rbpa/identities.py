@@ -342,14 +342,12 @@ def _eval_eq5(bd):
     r, j, n = bd["r"], bd["j"], bd["n"]
     lhs = p_egf(r - 3, j - 1, n)[n]
     row = p_egf(r, j, n).values
-    rhs = sum(
-        binomial(n, s)
-        * (-1) ** s
-        * bernoulli.poly_bernoulli(-2, s)
-        * row[n - s]
-        for s in range(n + 1)
-    )
-    return lhs, _exact(rhs), None
+    rhs = 0
+    for s in range(n + 1):
+        b_s = bernoulli.as_int(bernoulli.poly_bernoulli(-2, s))
+        term = binomial(n, s) * b_s * row[n - s]
+        rhs += -term if s & 1 else term
+    return lhs, rhs, None
 
 
 def _eval_eq6(bd):

@@ -248,3 +248,9 @@ def count_some_section_at_most_one_block(n: int, j: int, marked: int) -> int:
         if any(len(structure[t]) <= 1 for t in range(marked)):
             total += 1
     return total
+
+
+def clear_caches() -> None:
+    """Empty every cache this module keeps, as at import."""
+    _osp_count.cache_clear()
+    _assignments_by_used_sections.cache_clear()

@@ -12,6 +12,7 @@ from rbpa.egf import exp_series, one
 from rbpa.bernoulli import (
     MuTable,
     as_multi_index,
+    corollary_convolution,
     corollary_convolution_check,
     mu_table,
     multi_poly_bernoulli,
@@ -88,7 +89,7 @@ def test_b_and_u_routes_refuse_non_integers(call):
 
 
 def test_mu_table_refuses_a_float_entry_with_a_cold_or_warm_cache():
-    mu_table.cache_clear()
+    bernoulli.clear_caches()
     with pytest.raises(TypeError):
         mu_table((2.0,))
     assert mu_table((2,)).coefficients == (0, -1, 2)
@@ -261,10 +262,7 @@ def test_reciprocal_coefficient_alternates_w_values():
 def test_sliced_rows_match_fresh_builds_in_any_order():
     # after a cold start, shuffled sweeps read every value from a row
     # built for a longer request; each must equal a build at exactly n
-    bernoulli._reciprocal_row.cache_clear()
-    bernoulli._reciprocal_orders.clear()
-    bernoulli._chain_power_rows.cache_clear()
-    bernoulli._chain_orders.clear()
+    bernoulli.clear_caches()
     rng = random.Random(11)
     sweep = list(range(20))
     for r in (0, 3, 5):
@@ -278,15 +276,69 @@ def test_sliced_rows_match_fresh_builds_in_any_order():
         rng.shuffle(sweep)
         b = len(indices)
         for n in sweep:
-            chain = bernoulli._chain_power_rows.__wrapped__(indices, n + b)
+            # entry t of a fresh build carries the scale lcm(1..t)^exponent
+            chain, exponent = bernoulli._chain_power_rows.__wrapped__(indices, n + b)
             fresh = (-1) ** (n + 1) * sum(
-                chain[t]
+                Fraction(chain[t], math.lcm(*range(1, t + 1)) ** exponent)
                 * (-1) ** (t - b + 1)
                 * factorial(t - b)
                 * stirling2(n + 1, t - b + 1)
                 for t in range(b, n + b + 1)
             )
             assert u_stirling_sum(indices, n) == fresh
+
+
+def fraction_chain_u(indices, n):
+    # the chain rows as Fractions, summed term by term: the reference
+    # for the scaled integer rows
+    b = len(indices)
+    chain = [Fraction(0)] * (n + b + 1)
+    for t in range(1, n + b + 1):
+        chain[t] = Fraction(t) ** -indices[0]
+    for k in indices[1:]:
+        running, nxt = Fraction(0), [Fraction(0)] * (n + b + 1)
+        for t in range(1, n + b + 1):
+            running += chain[t - 1]
+            nxt[t] = Fraction(t) ** -k * running
+        chain = nxt
+    return (-1) ** (n + 1) * sum(
+        chain[t] * (-1) ** (t - b + 1) * factorial(t - b) * stirling2(n + 1, t - b + 1)
+        for t in range(b, n + b + 1)
+    )
+
+
+def test_scaled_chain_rows_match_the_fraction_chain():
+    # a cold start, then shuffled sweeps: most values are read from a
+    # row built for a longer request
+    bernoulli.clear_caches()
+    rng = random.Random(23)
+    sweep = list(range(26))
+    for indices in [(1,), (5,), (3, 3, 3), (2, -1), (1, -2), (-3, 0, 1)]:
+        rng.shuffle(sweep)
+        for n in sweep:
+            assert u_stirling_sum(indices, n) == fraction_chain_u(indices, n)
+
+
+def test_u_number_refuses_a_non_integral_value(monkeypatch):
+    monkeypatch.setattr(bernoulli, "u_stirling_sum", lambda idx, n: Fraction(7, 8))
+    with pytest.raises(ArithmeticError):
+        u_number((1,), 2)
+
+
+def test_corollary_convolution_matches_a_fraction_accumulation():
+    for j in range(4):
+        for b in range(1, 4):
+            for n in range(9):
+                rhs = Fraction(0)
+                for s in range(n + 1):
+                    if b == 1:
+                        zeros = 1 if s == 0 else 0
+                    else:
+                        zeros = multi_poly_bernoulli((0,) * (b - 1), s)
+                    rhs += binomial(n, s) * zeros * poly_bernoulli(-j, n - s)
+                got = corollary_convolution(j, b, n)
+                assert got == (multi_poly_bernoulli((j,) + (0,) * (b - 1), n), rhs)
+                assert (type(got[0]), type(got[1])) == (int, Fraction)
 
 
 def test_corollary_convolution_check():

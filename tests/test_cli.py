@@ -127,9 +127,7 @@ def test_egf_output_matches_the_library_series(capsys):
 
 def test_seq_b_with_a_large_index_entry_runs_cold(capsys):
     # mu_table reads Stirling row 1200, which used to recurse once per row
-    combinat.stirling2_row.cache_clear()
-    combinat._stirling_rows.clear()
-    combinat._stirling_rows[0] = (1,)
+    combinat.clear_caches()
     code, out, _ = run(capsys, "seq", "--family", "B", "--index", "-1200,0",
                        "--n-max", "2")
     assert code == 0

@@ -34,9 +34,7 @@ def test_stirling2_rows():
 
 
 def test_cold_stirling_row_needs_no_deep_recursion():
-    combinat.stirling2_row.cache_clear()
-    combinat._stirling_rows.clear()
-    combinat._stirling_rows[0] = (1,)
+    combinat.clear_caches()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
@@ -52,9 +50,7 @@ def test_cold_stirling_row_needs_no_deep_recursion():
 
 
 def test_cold_stirling_rows_built_by_racing_threads_stay_in_place():
-    combinat.stirling2_row.cache_clear()
-    combinat._stirling_rows.clear()
-    combinat._stirling_rows[0] = (1,)
+    combinat.clear_caches()
     n = 300
     start = threading.Barrier(4)
     rows = []

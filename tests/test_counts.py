@@ -25,14 +25,6 @@ from rbpa.counts import (
 from rbpa.egf import exp_series
 
 
-def clear_row_cache():
-    counts._p_row.cache_clear()
-    counts._row_orders.clear()
-    # the shift coefficients read rows through the row cache, so a stale
-    # entry would hide a row request from the miss counts below
-    counts._shift_coeffs.cache_clear()
-
-
 def test_known_rows():
     assert p_egf(0, 1, 9).values == (
         1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261,
@@ -161,7 +153,7 @@ def test_certified_series_agrees_with_generating_function(r, j, n):
 def test_row_cache_slices_match_fresh_builds(requests):
     # any request order: each answer, sliced from a longer row or not,
     # equals the order-n series built from scratch
-    clear_row_cache()
+    counts.clear_caches()
     for r, j, n in requests:
         fresh = exp_series(r, n) * (two_minus_exp(n) ** j).reciprocal()
         expected = tuple(fresh.coeff_int(m) for m in range(n + 1))
@@ -172,7 +164,7 @@ def test_row_cache_builds_each_row_once_per_doubling():
     # a shuffled sweep n = 0..59 over one (r, j) used to build 60 rows;
     # this order opens at n = 12, then n = 45 builds at 45 and a later
     # n > 45 at 2 * 45
-    clear_row_cache()
+    counts.clear_caches()
     sweep = list(range(60))
     random.Random(7).shuffle(sweep)
     values = {n: p_binomial_shift(0, 2, n) for n in sweep}
@@ -183,7 +175,7 @@ def test_row_cache_builds_each_row_once_per_doubling():
 
 def test_series_with_one_free_section_builds_no_row():
     # its terms p^{r+s}_0(n) = (r+s)^n need no r = 0 row
-    clear_row_cache()
+    counts.clear_caches()
     assert p_series_certified(2, 1, 10)[0] == p_recurrence(2, 1, 10)
     assert counts._p_row.cache_info().misses == 0
 
@@ -312,7 +304,7 @@ def test_recurrence_in_j_needs_no_deep_recursion(monkeypatch):
     assert value == p_egf(0, 600, 2)[2]
     assert sorted(counts._recurrence_rows) == [(0, i) for i in range(1, 601)]
     # n = 0 is 1 at once, with no row built for any level
-    counts._recurrence_rows.clear()
+    counts.clear_caches()
     assert p_recurrence(0, 10**7, 0) == 1
     assert counts._recurrence_rows == {}
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rbpa import identities
+from rbpa import bernoulli, identities
 from rbpa.identities import (
     REGISTRY,
     CheckReport,
@@ -232,3 +232,36 @@ def test_json_value_of_nested_containers():
 def test_json_value_refuses_an_inexact_or_unknown_value(value):
     with pytest.raises(TypeError, match="cannot serialize"):
         json_value(value)
+
+
+def _outcome(ident, binding):
+    try:
+        reports = run_identity(ident, binding)
+    except ArithmeticError:
+        return "raised"
+    return "passed" if all(r.passed for r in reports) else "failed"
+
+
+@pytest.mark.parametrize("ident, binding", [
+    ("EQ5", {"r": 3, "j": 1, "n": 3}),
+    ("COR", {"j": 2, "b": 2, "n": 3}),
+])
+def test_a_non_integral_b_value_never_passes(monkeypatch, ident, binding):
+    # both convolutions add B^{(-2)}_s as ints; a wrong rational value
+    # must fail or raise, never pass as its numerator or its truncation
+    real = bernoulli.poly_bernoulli
+    assert real(-2, 2) == 14
+
+    def with_b_2(wrong):
+        monkeypatch.setattr(
+            bernoulli, "poly_bernoulli",
+            lambda k, n: wrong if (k, n) == (-2, 2) else real(k, n),
+        )
+        return _outcome(ident, binding)
+
+    assert _outcome(ident, binding) == "passed"
+    # an integral error fails, so the binding reads B^{(-2)}_2
+    assert with_b_2(Fraction(15)) == "failed"
+    # 14/15 has numerator 14, and 29/2 truncates to 14
+    assert with_b_2(Fraction(14, 15)) in ("failed", "raised")
+    assert with_b_2(Fraction(29, 2)) in ("failed", "raised")

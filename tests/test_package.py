@@ -145,3 +145,37 @@ def test_readme_library_tour():
         "enumerate_rbpa(4, 2, 1)": 299,
         'run_all("quick").failed': 0,
     }
+
+
+def _warm_every_cache():
+    from rbpa import bernoulli, counts, oracle
+
+    counts.p_binomial_shift(1, 2, 6)
+    counts.p_recurrence(1, 2, 6)
+    bernoulli.u_number((2, 1), 4)
+    bernoulli.u_stirling_sum((1, -1), 4)
+    bernoulli.poly_bernoulli(2, 3)
+    bernoulli.multi_poly_bernoulli_li_oracle((1,), 3)
+    bernoulli.reciprocal_coefficient(2, 4)
+    oracle.enumerate_rbpa(3, 1, 1)
+    oracle.enumerate_rbpa_with_empty(3, 1, 0, 1)
+
+
+@pytest.mark.parametrize("name", ["combinat", "counts", "bernoulli", "oracle"])
+def test_clear_caches_empties_every_cache_the_module_owns(name):
+    # found by attribute, so a cache added later without a matching
+    # line in clear_caches fails here
+    module = getattr(rbpa, name)
+    _warm_every_cache()
+    caches = [
+        value for value in vars(module).values()
+        if callable(value) and hasattr(value, "cache_info")
+        and value.__module__ == module.__name__
+    ]
+    assert any(cache.cache_info().currsize for cache in caches)
+    module.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+    tables = {key: value for key, value in vars(module).items()
+              if key.endswith(("_orders", "_rows")) and isinstance(value, dict)}
+    expected = {"_stirling_rows": {0: (1,)}}
+    assert tables == {key: expected.get(key, {}) for key in tables}

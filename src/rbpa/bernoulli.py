@@ -30,12 +30,13 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Sequence
 
 from .combinat import (
-    binomial, factorial, grown_order, int_pow, stirling2, stirling2_row,
+    binomial, binomial_convolution, factorial, grown_order, int_pow, stirling2,
+    stirling2_row,
 )
 from .egf import Egf, exp_series, one
 from .record import FrozenRecord
@@ -120,15 +121,18 @@ def _mu_table(idx: MultiIndex) -> MuTable:
 mu_table.cache_info = _mu_table.cache_info
 
 
-def _b_values(idx: MultiIndex, n_min: int, n_max: int) -> list[int]:
-    """B at upper index -idx for n = n_min..n_max: sum_s mu_s (s+b)^n.
+def _b_values(
+    idx: MultiIndex, n_min: int, n_max: int, b: int | None = None
+) -> list[int]:
+    """sum_s mu_s (s+b)^n for n = n_min..n_max: B at upper index -idx.
 
-    The one place the mu-weighted power sum is written. Each term
-    mu_s (s+b)^n is taken once at n_min and then stepped by one
-    multiplication per n. The all-zero index falls outside the mu
-    recursion and is b^n (its generating function is e^{bm}).
+    The one place the mu-weighted power sum is written: b defaults to
+    len(idx), and u_from_mu reads U at b = len(idx) - 1. Each term is
+    taken once at n_min and then stepped by one multiplication per n.
+    The all-zero index falls outside the mu recursion and gives b^n
+    (its generating function is e^{bm}).
     """
-    b = len(idx)
+    b = len(idx) if b is None else b
     if any(idx):
         weights = _mu_table(idx).coefficients[1:]
         bases = range(b + 1, b + 1 + len(weights))
@@ -180,17 +184,17 @@ def poly_bernoulli(k: int, n: int) -> Fraction:
     return Fraction(total, int_pow(den, exp))
 
 
-def poly_bernoulli_double_sum(k: int, n: int, slack: int = 3) -> Fraction:
+def poly_bernoulli_double_sum(k: int, n: int) -> Fraction:
     """The same number as a literal double sum, kept for cross-checking.
 
     sum_s (s+1)^{-k} sum_i C(s,i)(-1)^{s-i}(i-s)^n, where the inner sum
-    vanishes for s > n; `slack` extra outer terms are included so the
+    vanishes for s > n; three extra outer terms are included so the
     vanishing is exercised rather than assumed.
     """
-    if n < 0 or slack < 0:
-        raise ValueError("n and slack must be >= 0")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     total = Fraction(0)
-    for s in range(n + slack + 1):
+    for s in range(n + 4):
         inner = sum(
             binomial(s, i) * (-1) ** (s - i) * int_pow(i - s, n)
             for i in range(s + 1)
@@ -418,20 +422,14 @@ def u_from_mu(idx: Sequence[int], n: int) -> int:
     """U from the mu weights directly: sum_s mu_s (s+b-1)^n.
 
     Shifting sum_s mu_s (s+b)^n by e^{-m} lowers every power base by
-    one; the all-zero index gives (b-1)^n.
+    one, so this is the B power sum of `_b_values` at base b - 1; the
+    all-zero index gives (b-1)^n.
     """
     idx = as_multi_index(idx)
     n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    b = len(idx)
-    if all(e == 0 for e in idx):
-        return int_pow(b - 1, n)
-    table = _mu_table(idx)
-    return sum(
-        table.coefficients[s] * int_pow(s + b - 1, n)
-        for s in range(1, table.weight + 1)
-    )
+    return _b_values(idx, n, n, len(idx) - 1)[0]
 
 
 def corollary_convolution(j: int, b: int, n: int) -> tuple[int, Fraction]:
@@ -449,14 +447,11 @@ def corollary_convolution(j: int, b: int, n: int) -> tuple[int, Fraction]:
     if j < 0 or n < 0:
         raise ValueError("j and n must be >= 0")
     lhs = multi_poly_bernoulli((j,) + (0,) * (b - 1), n)
-    rhs = 0
-    for s in range(n + 1):
-        if b == 1:
-            zeros_factor = 1 if s == 0 else 0
-        else:
-            zeros_factor = multi_poly_bernoulli((0,) * (b - 1), s)
-        if zeros_factor:
-            rhs += binomial(n, s) * zeros_factor * as_int(poly_bernoulli(-j, n - s))
+    zeros = (
+        partial(multi_poly_bernoulli, (0,) * (b - 1)) if b > 1
+        else lambda s: int(s == 0)
+    )
+    rhs = binomial_convolution(n, zeros, lambda m: as_int(poly_bernoulli(-j, m)))
     return lhs, Fraction(rhs)
 
 

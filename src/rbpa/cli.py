@@ -51,13 +51,42 @@ def _emit_values(family: str, params: dict, values, fmt: OutputFormat, out) -> N
             out.write(f"{n} {identities.json_value(v)}\n")
 
 
-def _parse_index(text: str) -> tuple[int, ...]:
+# Bounds of --index (seq, cycle), checked before any value is computed.
+# The weight table of a B index of weight w costs about w^2 big-int
+# steps, so the entries' sizes are bounded one by one and in sum. A
+# positive entry k puts lcm(1..n+1)^k into the values, so the sum is
+# also bounded jointly with --n-max. U's chain rows take one pass per
+# entry, so the length is bounded too. Every index in the tests, README
+# and CI stays inside; the slowest allowed run takes about 10 s.
+INDEX_LEN_MAX = 10
+INDEX_ENTRY_MAX = 1200
+INDEX_SUM_MAX = 2400
+INDEX_WORK_MAX = 6000  # bound of (n_max + 1) * sum of |entries|
+
+
+def _parse_index(text: str, n_max: int) -> tuple[int, ...]:
     try:
         entries = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"bad index {text!r}; expected e.g. -2,0,0") from None
-    if not entries:
-        raise UsageError("index must have at least one entry")
+    if len(entries) > INDEX_LEN_MAX:
+        raise UsageError(f"--index has at most {INDEX_LEN_MAX} entries")
+    if max(map(abs, entries)) > INDEX_ENTRY_MAX:
+        raise UsageError(
+            f"--index entries must be between -{INDEX_ENTRY_MAX} and "
+            f"{INDEX_ENTRY_MAX}"
+        )
+    weight = sum(map(abs, entries))
+    if weight > INDEX_SUM_MAX:
+        raise UsageError(
+            f"the absolute values of the --index entries must sum to at "
+            f"most {INDEX_SUM_MAX}"
+        )
+    if (n_max + 1) * weight > INDEX_WORK_MAX:
+        raise UsageError(
+            f"(n_max+1) times the sum of |--index entries| must be at most "
+            f"{INDEX_WORK_MAX}; lower --index or --n-max"
+        )
     return entries
 
 
@@ -69,12 +98,14 @@ def _negated(entries: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-e for e in entries)
 
 
-# Upper bounds of --n-max (seq, cycle) and --order (egf), and of --j
-# (seq and cycle for family p, egf), so no input starts an unbounded run.
-# Every use in the tests, demos, README and benchmark stays at or below
-# 200 and 4; at the bounds the slowest runs take seconds.
+# Upper bounds of --n-max (seq, cycle) and --order (egf), and of --r and
+# --j (seq and cycle for families p and W, egf), so no input starts an
+# unbounded run. Every use in the tests, demos, README and benchmark
+# stays at or below 200 and 4; at the bounds the slowest runs take
+# 13-17 s (see README).
 SEQ_CLI_MAX = 500
 J_CLI_MAX = 100
+R_CLI_MAX = 100
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
@@ -89,12 +120,13 @@ def _family_values(args, n_max: int):
         if args.r is None or args.j is None:
             raise UsageError("family p needs --r and --j")
         _check_cap("--j", args.j, J_CLI_MAX)
+        _check_cap("--r", args.r, R_CLI_MAX)
         table = counts.p_egf(args.r, args.j, n_max)
         return family, {"r": args.r, "j": args.j}, list(table.values)
     if family == "B":
         if args.index is None:
             raise UsageError("family B needs --index")
-        entries = _parse_index(args.index)
+        entries = _parse_index(args.index, n_max)
         params = {"index": list(entries)}
         if len(entries) == 1:
             vals = [bernoulli.poly_bernoulli(entries[0], n) for n in range(n_max + 1)]
@@ -105,7 +137,7 @@ def _family_values(args, n_max: int):
     if family == "U":
         if args.index is None:
             raise UsageError("family U needs --index")
-        entries = _parse_index(args.index)
+        entries = _parse_index(args.index, n_max)
         params = {"index": list(entries)}
         if all(e <= 0 for e in entries):
             idx = tuple(-e for e in entries)
@@ -118,6 +150,7 @@ def _family_values(args, n_max: int):
             raise UsageError("family W needs --r")
         if args.r < 1:
             raise UsageError("family W needs --r >= 1")
+        _check_cap("--r", args.r, R_CLI_MAX)
         vals = [bernoulli.w_family(args.r, n) for n in range(n_max + 1)]
         return family, {"r": args.r}, vals
     raise UsageError(f"unknown family {family!r}")
@@ -139,6 +172,7 @@ def cmd_egf(args) -> int:
     if args.r < 0 or args.j < 0:
         raise UsageError("--r and --j must be >= 0")
     _check_cap("--j", args.j, J_CLI_MAX)
+    _check_cap("--r", args.r, R_CLI_MAX)
     series = exp_series(args.r, args.order) * (
         counts.two_minus_exp(args.order) ** args.j
     ).reciprocal()
@@ -183,7 +217,7 @@ def cmd_cycle(args) -> int:
     for v in vals:
         if isinstance(v, Fraction) and v.denominator != 1:
             raise UsageError("cycle check needs an integer family")
-    holds = counts.last_digit_cycle_check(vals[1:], offset=1)
+    holds = counts.last_digit_cycle_check(vals[1:])
     payload = {
         "family": family,
         "params": params,
@@ -265,14 +299,18 @@ def _add_family(parser) -> None:
         "--family", required=True, choices=["p", "B", "U", "W"],
         help="p: barred counts; B, U: the two number families; W: 2r^n-(r-1)^n",
     )
-    parser.add_argument("--r", type=int, default=None)
+    parser.add_argument(
+        "--r", type=int, default=None,
+        help=f"restricted sections (p) or power base (W), at most {R_CLI_MAX}",
+    )
     parser.add_argument(
         "--j", type=int, default=None,
         help=f"free sections for family p, at most {J_CLI_MAX}",
     )
     parser.add_argument(
         "--index", default=None,
-        help="comma-separated signed upper index, e.g. -2,0,0",
+        help=f"comma-separated signed upper index, e.g. -2,0,0; at most "
+             f"{INDEX_LEN_MAX} entries of size at most {INDEX_ENTRY_MAX}",
     )
 
 
@@ -295,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_egf = sub.add_parser(
         "egf", help="dump coefficients of e^{rm}/(2-e^m)^j or its reciprocal"
     )
-    p_egf.add_argument("--r", type=int, required=True)
+    p_egf.add_argument(
+        "--r", type=int, required=True, help=f"at most {R_CLI_MAX}",
+    )
     p_egf.add_argument(
         "--j", type=int, required=True, help=f"at most {J_CLI_MAX}",
     )
@@ -380,10 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_glue_index(argv))
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"rbpa: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, oracle.SizeLimitError) as exc:
+    except (UsageError, ValueError) as exc:  # oracle.SizeLimitError included
         print(f"rbpa: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,20 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def binomial_convolution(n: int, left, right, start: int = 0) -> int:
+    """sum_{s=start}^{n} C(n, s) left(s) right(n - s), the one binomial convolution.
+
+    The shape of Eq. 5, 6, 8, 9 and 13 and of the Corollary: coefficient
+    n of a product of two exponential generating functions. A sign such
+    as (-1)^s goes inside the factor it multiplies. n and start are
+    >= 0; both factors are read at every s, even where one is zero.
+    """
+    total = 0
+    for s in range(start, n + 1):
+        total += math.comb(n, s) * left(s) * right(n - s)
+    return total
+
+
 # rows 0, 1, ... of the Stirling triangle built so far, keyed by n and
 # grown by stirling2_row; the keys are always 0..len - 1
 _stirling_rows: dict[int, tuple[int, ...]] = {0: (1,)}

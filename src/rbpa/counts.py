@@ -402,18 +402,16 @@ def p_inclusion_exclusion(r: int, j: int, n: int) -> int:
     )
 
 
-def last_digit_cycle_check(values, offset: int) -> bool:
+def last_digit_cycle_check(values) -> bool:
     """True iff value(n+4) == value(n) mod 10 across the window.
 
-    values[i] is the sequence member at index offset + i; the window
-    must span at least indices offset..offset+8 so every residue class
-    mod 4 is compared at least once.
+    values are consecutive sequence members; the window must hold at
+    least nine of them so every residue class mod 4 is compared at
+    least once.
     """
     vals = list(values)
     if len(vals) < 9:
         raise ValueError("need at least 9 consecutive values")
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
     return all(
         vals[i] % 10 == vals[i + 4] % 10 for i in range(len(vals) - 4)
     )

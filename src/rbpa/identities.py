@@ -22,7 +22,7 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 from . import bernoulli, counts, oracle
-from .combinat import binomial, int_pow
+from .combinat import binomial, binomial_convolution, int_pow
 from .counts import _certify_truncation, certified_round, p_egf, p_recurrence
 from .egf import exp_series
 from .record import FrozenRecord
@@ -342,23 +342,23 @@ def _eval_eq5(bd):
     r, j, n = bd["r"], bd["j"], bd["n"]
     lhs = p_egf(r - 3, j - 1, n)[n]
     row = p_egf(r, j, n).values
-    rhs = 0
-    for s in range(n + 1):
+
+    def signed_b(s: int) -> int:  # (-1)^s B^{-2}_s
         b_s = bernoulli.as_int(bernoulli.poly_bernoulli(-2, s))
-        term = binomial(n, s) * b_s * row[n - s]
-        rhs += -term if s & 1 else term
-    return lhs, rhs, None
+        return -b_s if s & 1 else b_s
+
+    return lhs, binomial_convolution(n, signed_b, row.__getitem__), None
 
 
 def _eval_eq6(bd):
     n = bd["n"]
     lhs = p_egf(3, 1, n)[n]
-    rhs = sum(
-        binomial(n, s)
-        * (-1) ** (s + 1)
-        * ((-1) ** s * bernoulli.reciprocal_coefficient(3, s))
-        * p_recurrence(3, 1, n - s)
-        for s in range(1, n + 1)
+    # (-1)^{s+1} B^{-2}_s = -c_s, as B^{-2}_s = (-1)^s c_s, c_s the coefficient
+    rhs = binomial_convolution(
+        n,
+        lambda s: -bernoulli.reciprocal_coefficient(3, s),
+        partial(p_recurrence, 3, 1),
+        start=1,
     )
     return lhs, rhs, "B values read off the reciprocal series coefficients"
 
@@ -366,12 +366,12 @@ def _eval_eq6(bd):
 def _eval_eq8(bd):
     b, n = bd["b"], bd["n"]
     lhs = p_egf(3 + b, 1, n)[n]
-    rhs = sum(
-        binomial(n, s)
-        * (-1) ** (s + 1)
-        * bernoulli.multi_poly_bernoulli(_two_pads(b), s)
-        * p_recurrence(3 + b, 1, n - s)
-        for s in range(1, n + 1)
+    pads = _two_pads(b)
+    rhs = binomial_convolution(
+        n,
+        lambda s: (-1) ** (s + 1) * bernoulli.multi_poly_bernoulli(pads, s),
+        partial(p_recurrence, 3 + b, 1),
+        start=1,
     )
     return lhs, rhs, None
 
@@ -380,19 +380,12 @@ def _eval_eq8_rearranged(bd):
     b, n = bd["b"], bd["n"]
     lhs = bernoulli.multi_poly_bernoulli(_two_pads(b), n)
     row = p_egf(3 + b, 1, n).values
-    printed = sum(
-        binomial(n, s)
-        * row[s]
-        * (-1) ** (n - s + 1)
-        * bernoulli.w_family(3 + b, n - s)
-        for s in range(1, n + 1)
+    w = partial(bernoulli.w_family, 3 + b)
+    printed = binomial_convolution(
+        n, row.__getitem__, lambda m: (-1) ** (m + 1) * w(m), start=1
     )
-    corrected = sum(
-        binomial(n, s)
-        * row[s]
-        * (-1) ** (s + 1)
-        * bernoulli.w_family(3 + b, n - s)
-        for s in range(1, n + 1)
+    corrected = binomial_convolution(
+        n, lambda s: (-1) ** (s + 1) * row[s], w, start=1
     )
     note = (
         f"printed sign (-1)^(n-s+1) agrees only for even n; "
@@ -405,12 +398,8 @@ def _eval_eq9(bd):
     r, j, b, n = bd["r"], bd["j"], bd["b"], bd["n"]
     lhs = p_recurrence(r - (3 + b), j - 1, n)
     row = p_egf(r, j, n).values
-    rhs = sum(
-        binomial(n, s)
-        * row[s]
-        * (-1) ** (n - s)
-        * bernoulli.w_family(3 + b, n - s)
-        for s in range(n + 1)
+    rhs = binomial_convolution(
+        n, row.__getitem__, lambda m: (-1) ** m * bernoulli.w_family(3 + b, m)
     )
     return lhs, rhs, None
 
@@ -490,12 +479,11 @@ def _eval_eq13(bd):
     lhs = p_egf(4 + b, 1, n)[n]
 
     def conv(u_value) -> int:
-        return sum(
-            binomial(n, s)
-            * (-1) ** (s + 1)
-            * u_value(s)
-            * p_recurrence(4 + b, 1, n - s)
-            for s in range(1, n + 1)
+        return binomial_convolution(
+            n,
+            lambda s: (-1) ** (s + 1) * u_value(s),
+            partial(p_recurrence, 4 + b, 1),
+            start=1,
         )
 
     shift_u = conv(lambda s: bernoulli.u_number(_two_pads(b), s))

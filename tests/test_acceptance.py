@@ -97,7 +97,7 @@ def test_criterion_05_convolution_identities_exact_on_the_wide_grid():
 def test_criterion_06_last_digit_four_cycles_to_n_50():
     def window_ok(values):
         # values[n] for n = 0..54; compare n with n + 4 for n = 1..50
-        return counts.last_digit_cycle_check(values[1:], offset=1)
+        return counts.last_digit_cycle_check(values[1:])
 
     families = 0
     for r in range(6):

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +226,28 @@ def test_u_routes_agree():
             expect = u_via_shift(idx, n)
             assert u_number(idx, n) == expect
             assert u_from_mu(idx, n) == expect
+
+
+def _u_from_mu_reference(idx, n):
+    # sum_s mu_s (s+b-1)^n written out, with (b-1)^n at the all-zero index
+    b = len(idx)
+    if not any(idx):
+        return (b - 1) ** n
+    table = mu_table(idx)
+    return sum(
+        table.coefficients[s] * (s + b - 1) ** n
+        for s in range(1, table.weight + 1)
+    )
+
+
+def test_u_from_mu_is_the_mu_power_sum_at_base_b_minus_one():
+    indices = [
+        idx for b in (1, 2, 3) for idx in product(range(4), repeat=b)
+    ]
+    assert (0,) in indices and (0, 0, 0) in indices
+    for idx in indices:
+        for n in range(21):
+            assert u_from_mu(idx, n) == _u_from_mu_reference(idx, n), (idx, n)
 
 
 def test_u_stirling_sum_handles_positive_indices():

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from rbpa import combinat, oracle
-from rbpa.bernoulli import multi_poly_bernoulli_li_sequence
-from rbpa.cli import J_CLI_MAX, SEQ_CLI_MAX, _glue_index, main
+from rbpa import bernoulli, cli, combinat, counts, oracle
+from rbpa.bernoulli import multi_poly_bernoulli_li_sequence, u_number
+from rbpa.cli import J_CLI_MAX, R_CLI_MAX, SEQ_CLI_MAX, _glue_index, main
 from rbpa.counts import p_egf, two_minus_exp
 from rbpa.egf import exp_series
 
@@ -205,6 +205,80 @@ def test_j_has_an_upper_bound(capsys):
         assert code == 2
         assert out == ""
         assert err == f"rbpa: --j must be at most {J_CLI_MAX}\n"
+
+
+def _no_route(*args):
+    raise AssertionError(f"a route ran with {args}")
+
+
+@pytest.fixture
+def no_routes(monkeypatch):
+    """Every value route that seq, cycle and egf reach raises if called."""
+    for module, name in [
+        (counts, "p_egf"), (counts, "two_minus_exp"), (cli, "exp_series"),
+        (bernoulli, "poly_bernoulli"), (bernoulli, "multi_poly_bernoulli"),
+        (bernoulli, "u_number"), (bernoulli, "u_stirling_sum"),
+        (bernoulli, "w_family"),
+    ]:
+        monkeypatch.setattr(module, name, _no_route)
+
+
+R_TOO_LARGE = f"rbpa: --r must be at most {R_CLI_MAX}\n"
+INDEX_ENTRY = "rbpa: --index entries must be between -1200 and 1200\n"
+INDEX_SUM = ("rbpa: the absolute values of the --index entries must sum to "
+             "at most 2400\n")
+INDEX_WORK = ("rbpa: (n_max+1) times the sum of |--index entries| must be at "
+              "most 6000; lower --index or --n-max\n")
+INDEX_LENGTH = "rbpa: --index has at most 10 entries\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("seq --family p --r 1000000000 --j 1 --n-max 500", R_TOO_LARGE),
+    ("seq --family p --r 101 --j 1 --n-max 3", R_TOO_LARGE),
+    ("seq --family W --r 101 --n-max 3", R_TOO_LARGE),
+    ("cycle --family p --r 101 --j 1 --n-max 9", R_TOO_LARGE),
+    ("cycle --family W --r 1000000000 --n-max 9", R_TOO_LARGE),
+    ("egf --r 1000000000 --j 1 --order 500", R_TOO_LARGE),
+    ("egf --r 101 --j 1 --order 3 --reciprocal", R_TOO_LARGE),
+    ("seq --family B --index 20 --n-max 500", INDEX_WORK),
+    ("seq --family B --index 100 --n-max 500", INDEX_WORK),
+    ("seq --family B --index -1200,0 --n-max 500", INDEX_WORK),
+    ("seq --family U --index 13 --n-max 499", INDEX_WORK),
+    ("cycle --family B --index -601 --n-max 9", INDEX_WORK),
+    ("seq --family B --index -2999,0 --n-max 1", INDEX_ENTRY),
+    ("seq --family B --index -5999,0 --n-max 0", INDEX_ENTRY),
+    ("seq --family U --index 200000 --n-max 5", INDEX_ENTRY),
+    ("cycle --family U --index 0,1201 --n-max 9", INDEX_ENTRY),
+    ("seq --family B --index -1200,-1200,-1 --n-max 0", INDEX_SUM),
+    ("seq --family U --index " + ",".join(["0"] * 11) + " --n-max 3",
+     INDEX_LENGTH),
+])
+def test_oversized_r_and_index_are_refused_before_any_route_runs(
+        capsys, no_routes, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_r_and_index_run_at_their_bounds(capsys):
+    code, out, _ = run(capsys, "seq", "--family", "p", "--r", str(R_CLI_MAX),
+                       "--j", "1", "--n-max", "3")
+    assert code == 0
+    assert json.loads(out)["values"] == list(p_egf(R_CLI_MAX, 1, 3).values)
+    code, out, _ = run(capsys, "egf", "--r", str(R_CLI_MAX), "--j", "1",
+                       "--order", "2")
+    assert code == 0
+    # (n_max+1) * 600 = 6000 at n_max = 9; 2400 in sum; ten entries
+    for argv in (["cycle", "--family", "B", "--index", "-600", "--n-max", "9"],
+                 ["seq", "--family", "B", "--index", "600", "--n-max", "9"],
+                 ["seq", "--family", "U", "--index", "-1200,-1200",
+                  "--n-max", "1"],
+                 ["seq", "--family", "U", "--index", ",".join(["0"] * 10),
+                  "--n-max", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+    assert json.loads(out)["values"] == [u_number((0,) * 10, n) for n in range(4)]
 
 
 def test_cycle_holds(capsys):

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rbpa import combinat
-from rbpa.combinat import binomial, factorial, int_pow, stirling2, stirling2_row
+from rbpa.combinat import (
+    binomial, binomial_convolution, factorial, int_pow, stirling2, stirling2_row,
+)
 
 
 def test_binomial_small_values():
@@ -24,6 +27,39 @@ def test_binomial_negative_n_rejected():
 @given(st.integers(0, 60), st.integers(-3, 63))
 def test_binomial_pascal_rule(n, k):
     assert binomial(n + 1, k) == binomial(n, k) + binomial(n, k - 1)
+
+
+def _convolution_loop(n, left, right, start):
+    total = 0
+    for s in range(start, n + 1):
+        total += math.comb(n, s) * left(s) * right(n - s)
+    return total
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_binomial_convolution_matches_a_literal_loop(start):
+    factors = [
+        lambda s: 1,
+        lambda s: (-1) ** s * (s + 2),
+        lambda s: -(3 ** s) + s,
+        lambda s: 1 if s == 0 else 0,
+    ]
+    for n in range(12):
+        for left in factors:
+            for right in factors:
+                assert binomial_convolution(n, left, right, start) == (
+                    _convolution_loop(n, left, right, start)
+                )
+
+
+def test_binomial_convolution_edges():
+    # n = 0 is the single term left(0) right(0); from start 1 it is empty
+    assert binomial_convolution(0, lambda s: -7, lambda s: 5) == -35
+    assert binomial_convolution(0, lambda s: -7, lambda s: 5, start=1) == 0
+    # sum_s C(n,s) (-1)^s = 0 for n >= 1, and 2^n with both factors 1
+    assert binomial_convolution(6, lambda s: (-1) ** s, lambda s: 1) == 0
+    assert binomial_convolution(6, lambda s: 1, lambda s: 1) == 64
+    assert binomial_convolution(6, lambda s: 1, lambda s: 1, start=1) == 63
 
 
 def test_stirling2_rows():

@@ -119,14 +119,12 @@ def test_inclusion_exclusion_validates():
 
 def test_last_digit_cycle_check():
     row = p_egf(0, 1, 13).values
-    assert last_digit_cycle_check(row[1:], offset=1)
+    assert last_digit_cycle_check(row[1:])
     broken = list(row[1:])
     broken[6] += 1
-    assert not last_digit_cycle_check(broken, offset=1)
+    assert not last_digit_cycle_check(broken)
     with pytest.raises(ValueError):
-        last_digit_cycle_check(row[1:9], offset=1)
-    with pytest.raises(ValueError):
-        last_digit_cycle_check(row[1:], offset=-1)
+        last_digit_cycle_check(row[1:9])
 
 
 @settings(deadline=None)

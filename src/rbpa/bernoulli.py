@@ -225,12 +225,6 @@ def _z_power_rows(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _z_coeff(p: int, n: int) -> int:
-    if p > n:
-        return 0
-    return _z_power_rows(n)[p][n]
-
-
 def multi_poly_bernoulli_li_oracle(idx: Sequence[int], n: int) -> int:
     """Independent value from the truncated 1 - e^{-m} expansion.
 
@@ -248,7 +242,7 @@ def multi_poly_bernoulli_li_oracle(idx: Sequence[int], n: int) -> int:
         weight = 1
         for s_i, j_i in zip(chain, idx):
             weight *= int_pow(s_i, j_i)
-        total += weight * _z_coeff(chain[-1] - b, n)
+        total += weight * _z_power_rows(n)[chain[-1] - b][n]
     return total
 
 

@@ -4,6 +4,11 @@ Subcommands: seq (tabulate a family), egf (dump series coefficients),
 oracle (brute-force counts), cycle (last-digit periodicity check),
 verify (run the identity registry).
 
+seq and cycle read each family through one value function, value(n),
+and tabulate it in one loop; where the output needs integers (bfile,
+cycle) that loop refuses the family at its first proper fraction,
+before any later value is computed.
+
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage
 errors.
 """
@@ -12,41 +17,30 @@ from __future__ import annotations
 
 import argparse
 import csv
-import enum
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import bernoulli, counts, identities, oracle
-from .egf import exp_series
-
-
-class OutputFormat(enum.Enum):
-    JSON = "json"
-    CSV = "csv"
-    BFILE = "bfile"
+from .egf import Egf
 
 
 class UsageError(Exception):
     pass
 
 
-def _emit_values(family: str, params: dict, values, fmt: OutputFormat, out) -> None:
+def _emit_values(family: str, params: dict, values, fmt: str, out) -> None:
     """values[i] is the sequence member at n = i."""
-    if fmt is OutputFormat.JSON:
+    if fmt == "json":
         payload = {"family": family, "params": params, "values": values}
         out.write(identities.canonical_json(identities.json_value(payload)))
         out.write("\n")
-    elif fmt is OutputFormat.CSV:
+    elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "value"])
         for n, v in enumerate(values):
             writer.writerow([n, str(identities.json_value(v))])
     else:
-        for v in values:
-            if isinstance(v, Fraction) and v.denominator != 1:
-                raise UsageError(
-                    "bfile output needs integer values; use json or csv"
-                )
         for n, v in enumerate(values):
             out.write(f"{n} {identities.json_value(v)}\n")
 
@@ -113,55 +107,56 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
         raise UsageError(f"{flag} must be at most {cap}")
 
 
-def _family_values(args, n_max: int):
-    """(family tag, params dict, list of values for n = 0..n_max)."""
+def _family(args, n_max: int):
+    """(family tag, params dict, value) with value(n) the member at n."""
     family = args.family
     if family == "p":
         if args.r is None or args.j is None:
             raise UsageError("family p needs --r and --j")
         _check_cap("--j", args.j, J_CLI_MAX)
         _check_cap("--r", args.r, R_CLI_MAX)
-        table = counts.p_egf(args.r, args.j, n_max)
-        return family, {"r": args.r, "j": args.j}, list(table.values)
-    if family == "B":
+        row = counts.p_egf(args.r, args.j, n_max).values
+        return family, {"r": args.r, "j": args.j}, row.__getitem__
+    if family in ("B", "U"):
         if args.index is None:
-            raise UsageError("family B needs --index")
+            raise UsageError(f"family {family} needs --index")
         entries = _parse_index(args.index, n_max)
-        params = {"index": list(entries)}
-        if len(entries) == 1:
-            vals = [bernoulli.poly_bernoulli(entries[0], n) for n in range(n_max + 1)]
+        if family == "U":
+            value = partial(bernoulli.u_stirling_sum, entries)
+        elif len(entries) == 1:
+            value = partial(bernoulli.poly_bernoulli, entries[0])
         else:
-            idx = _negated(entries)
-            vals = [bernoulli.multi_poly_bernoulli(idx, n) for n in range(n_max + 1)]
-        return family, params, vals
-    if family == "U":
-        if args.index is None:
-            raise UsageError("family U needs --index")
-        entries = _parse_index(args.index, n_max)
-        params = {"index": list(entries)}
-        if all(e <= 0 for e in entries):
-            idx = tuple(-e for e in entries)
-            vals = [bernoulli.u_number(idx, n) for n in range(n_max + 1)]
-        else:
-            vals = [bernoulli.u_stirling_sum(entries, n) for n in range(n_max + 1)]
-        return family, params, vals
+            value = partial(bernoulli.multi_poly_bernoulli, _negated(entries))
+        return family, {"index": list(entries)}, value
     if family == "W":
         if args.r is None:
             raise UsageError("family W needs --r")
         if args.r < 1:
             raise UsageError("family W needs --r >= 1")
         _check_cap("--r", args.r, R_CLI_MAX)
-        vals = [bernoulli.w_family(args.r, n) for n in range(n_max + 1)]
-        return family, {"r": args.r}, vals
+        return family, {"r": args.r}, partial(bernoulli.w_family, args.r)
     raise UsageError(f"unknown family {family!r}")
+
+
+def _tabulate(value, n_max: int, refusal: str | None = None) -> list:
+    """value(0..n_max); given a refusal, raise it at the first proper fraction."""
+    values = []
+    for n in range(n_max + 1):
+        v = value(n)
+        if refusal and isinstance(v, Fraction) and v.denominator != 1:
+            raise UsageError(refusal)
+        values.append(v)
+    return values
 
 
 def cmd_seq(args) -> int:
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
     _check_cap("--n-max", args.n_max, SEQ_CLI_MAX)
-    family, params, vals = _family_values(args, args.n_max)
-    _emit_values(family, params, vals, OutputFormat(args.format), sys.stdout)
+    family, params, value = _family(args, args.n_max)
+    refusal = "bfile output needs integer values; use json or csv"
+    vals = _tabulate(value, args.n_max, refusal if args.format == "bfile" else None)
+    _emit_values(family, params, vals, args.format, sys.stdout)
     return 0
 
 
@@ -173,14 +168,11 @@ def cmd_egf(args) -> int:
         raise UsageError("--r and --j must be >= 0")
     _check_cap("--j", args.j, J_CLI_MAX)
     _check_cap("--r", args.r, R_CLI_MAX)
-    series = exp_series(args.r, args.order) * (
-        counts.two_minus_exp(args.order) ** args.j
-    ).reciprocal()
+    vals = counts.p_egf(args.r, args.j, args.order).values
     if args.reciprocal:
-        series = series.reciprocal()
-    vals = [series.coeff(n) for n in range(args.order + 1)]
+        vals = Egf.from_coeffs(vals).reciprocal().coeffs
     params = {"r": args.r, "j": args.j, "reciprocal": bool(args.reciprocal)}
-    _emit_values("egf", params, vals, OutputFormat(args.format), sys.stdout)
+    _emit_values("egf", params, vals, args.format, sys.stdout)
     return 0
 
 
@@ -203,8 +195,8 @@ def cmd_oracle(args) -> int:
         )
     vals = [oracle.enumerate_rbpa(n, args.r, args.j) for n in range(args.n_max + 1)]
     _emit_values(
-        "p", {"r": args.r, "j": args.j, "oracle": True}, vals,
-        OutputFormat(args.format), sys.stdout,
+        "p", {"r": args.r, "j": args.j, "oracle": True}, vals, args.format,
+        sys.stdout,
     )
     return 0
 
@@ -213,10 +205,8 @@ def cmd_cycle(args) -> int:
     if args.n_max < 9:
         raise UsageError("--n-max must be >= 9 so every residue is checked")
     _check_cap("--n-max", args.n_max, SEQ_CLI_MAX)
-    family, params, vals = _family_values(args, args.n_max)
-    for v in vals:
-        if isinstance(v, Fraction) and v.denominator != 1:
-            raise UsageError("cycle check needs an integer family")
+    family, params, value = _family(args, args.n_max)
+    vals = _tabulate(value, args.n_max, "cycle check needs an integer family")
     holds = counts.last_digit_cycle_check(vals[1:])
     payload = {
         "family": family,
@@ -288,8 +278,8 @@ def cmd_verify(args) -> int:
 def _add_format(parser) -> None:
     parser.add_argument(
         "--format",
-        choices=[f.value for f in OutputFormat],
-        default=OutputFormat.JSON.value,
+        choices=("json", "csv", "bfile"),
+        default="json",
         help="output format (default json)",
     )
 

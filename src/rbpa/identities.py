@@ -66,13 +66,6 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _exact(value):
-    # keep integral rationals as plain ints so reports stay readable
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
-
-
 class CheckReport(FrozenRecord):
     _fields = ("identity", "params", "lhs", "rhs", "passed", "note")
 
@@ -115,7 +108,7 @@ class IdentitySpec(FrozenRecord):
         lhs_method: str,
         rhs_method: str,
         domain: Callable[[str], dict],
-        evaluate: Callable[[dict], tuple],  # binding -> (lhs, rhs, note)
+        evaluate: Callable[..., tuple],  # binding by keyword -> (lhs, rhs, note)
         diagnostic: bool = False,
         constraint: Optional[Callable[..., bool]] = None,
     ) -> None:
@@ -208,19 +201,15 @@ def _two_pads(b: int) -> tuple:
     return (2,) + (0,) * b
 
 
-# evaluators; each returns (lhs, rhs, note)
+# evaluators; each takes its binding by keyword, one parameter per
+# domain key, and returns (lhs, rhs, note)
 
 
-def _eval_t3(bd):
-    return (
-        p_recurrence(bd["r"], bd["j"], bd["n"]),
-        counts.p_binomial_shift(bd["r"], bd["j"], bd["n"]),
-        None,
-    )
+def _eval_t3(r, j, n):
+    return p_recurrence(r, j, n), counts.p_binomial_shift(r, j, n), None
 
 
-def _eval_l1(bd):
-    s, n = bd["s"], bd["n"]
+def _eval_l1(s, n):
     return pow(s, n + 4, 10), int_pow(s, n) % 10, None
 
 
@@ -241,16 +230,14 @@ def _digit_cycle(window: range, here, ahead):
     return lhs, rhs, f"digits at n and n+4 compared for n = 1..{window[-1]}"
 
 
-def _eval_cycle_p(bd):
-    r, j, n_max = bd["r"], bd["j"], bd["n_max"]
+def _eval_cycle_p(r, j, n_max):
     row = p_egf(r, j, n_max).values
     return _digit_cycle(
         _cycle_window(n_max), row.__getitem__, partial(p_recurrence, r, j)
     )
 
 
-def _eval_dsum_l(bd):
-    r, n = bd["r"], bd["n"]
+def _eval_dsum_l(r, n):
     lhs = p_egf(r, 1, n)[n]
 
     def inner(k: int) -> int:
@@ -265,15 +252,13 @@ def _eval_dsum_l(bd):
     return lhs, rhs, note
 
 
-def _eval_dsum_t(bd):
-    r, j, n = bd["r"], bd["j"], bd["n"]
+def _eval_dsum_t(r, j, n):
     lhs = p_egf(r, j, n)[n]
     rhs = counts.p_double_sum(r, j, n)
     return lhs, rhs, "outer sum cut at k = n; k = n+1..n+3 rechecked to vanish"
 
 
-def _eval_incl_excl(bd):
-    r, j, n = bd["r"], bd["j"], bd["n"]
+def _eval_incl_excl(r, j, n):
     lhs = p_egf(r, j - r, n)[n]
     rhs = counts.p_inclusion_exclusion(r, j, n)
     if r == 1:
@@ -294,32 +279,28 @@ def _truncation_note(cert) -> str:
     return f"truncated at S = {cert.truncation_index}, tail < {cert.tail_bound}"
 
 
-def _eval_ser_powers(r, bd):
+def _eval_ser_powers(r, n):
     # p^r_1(n) = sum_{s>=0} (s+r)^n / 2^{s+1}: SER_L7 at r = 0, and at
     # r = 2 SER_L8's 2 sum_{s>=2} s^n / 2^s, reindexed from s = 2
-    n = bd["n"]
     lhs = p_egf(r, 1, n)[n]
     cert = _certify_truncation(r, 1, n)
     rhs = certified_round(lambda s: int_pow(s + r, n), cert)
     return lhs, rhs, _truncation_note(cert)
 
 
-def _eval_ser_t(bd):
-    r, j, n = bd["r"], bd["j"], bd["n"]
+def _eval_ser_t(r, j, n):
     lhs = p_egf(r, j, n)[n]
     value, cert = counts.p_series_certified(r, j, n)
     return lhs, value, _truncation_note(cert)
 
 
-def _eval_rec_l10(bd):
-    n = bd["n"]
+def _eval_rec_l10(n):
     lhs = p_egf(0, 1, n)[n]
     rhs = sum(binomial(n, s) * p_recurrence(0, 1, n - s) for s in range(1, n)) + 1
     return lhs, rhs, None
 
 
-def _eval_rec_l11(bd):
-    n = bd["n"]
+def _eval_rec_l11(n):
     lhs = p_egf(2, 1, n + 1)[n + 1]
     rhs = sum(
         binomial(n + 1, s) * p_recurrence(2, 1, s) for s in range(n + 1)
@@ -328,8 +309,7 @@ def _eval_rec_l11(bd):
     return lhs, rhs, note
 
 
-def _eval_rec_t(bd):
-    r, j, n = bd["r"], bd["j"], bd["n"]
+def _eval_rec_t(r, j, n):
     lhs = p_recurrence(r, j, n)
     row = p_egf(r, j, n).values
     rhs = p_egf(r, j - 1, n)[n] + sum(
@@ -338,8 +318,7 @@ def _eval_rec_t(bd):
     return lhs, rhs, None
 
 
-def _eval_eq5(bd):
-    r, j, n = bd["r"], bd["j"], bd["n"]
+def _eval_eq5(r, j, n):
     lhs = p_egf(r - 3, j - 1, n)[n]
     row = p_egf(r, j, n).values
 
@@ -350,8 +329,7 @@ def _eval_eq5(bd):
     return lhs, binomial_convolution(n, signed_b, row.__getitem__), None
 
 
-def _eval_eq6(bd):
-    n = bd["n"]
+def _eval_eq6(n):
     lhs = p_egf(3, 1, n)[n]
     # (-1)^{s+1} B^{-2}_s = -c_s, as B^{-2}_s = (-1)^s c_s, c_s the coefficient
     rhs = binomial_convolution(
@@ -363,8 +341,7 @@ def _eval_eq6(bd):
     return lhs, rhs, "B values read off the reciprocal series coefficients"
 
 
-def _eval_eq8(bd):
-    b, n = bd["b"], bd["n"]
+def _eval_eq8(b, n):
     lhs = p_egf(3 + b, 1, n)[n]
     pads = _two_pads(b)
     rhs = binomial_convolution(
@@ -376,8 +353,7 @@ def _eval_eq8(bd):
     return lhs, rhs, None
 
 
-def _eval_eq8_rearranged(bd):
-    b, n = bd["b"], bd["n"]
+def _eval_eq8_rearranged(b, n):
     lhs = bernoulli.multi_poly_bernoulli(_two_pads(b), n)
     row = p_egf(3 + b, 1, n).values
     w = partial(bernoulli.w_family, 3 + b)
@@ -394,8 +370,7 @@ def _eval_eq8_rearranged(bd):
     return lhs, printed, note
 
 
-def _eval_eq9(bd):
-    r, j, b, n = bd["r"], bd["j"], bd["b"], bd["n"]
+def _eval_eq9(b, r, j, n):
     lhs = p_recurrence(r - (3 + b), j - 1, n)
     row = p_egf(r, j, n).values
     rhs = binomial_convolution(
@@ -404,37 +379,34 @@ def _eval_eq9(bd):
     return lhs, rhs, None
 
 
-def _eval_cor(bd):
-    lhs, rhs = bernoulli.corollary_convolution(bd["j"], bd["b"], bd["n"])
-    return lhs, _exact(rhs), None
+def _eval_cor(j, b, n):
+    lhs, rhs = bernoulli.corollary_convolution(j, b, n)
+    return lhs, bernoulli.as_int(rhs), None
 
 
-def _eval_cycle_b2(bd):
-    b, window = bd["b"], _cycle_window(bd["n_max"])
+def _eval_cycle_b2(b, n_max):
     return _digit_cycle(
-        window,
+        _cycle_window(n_max),
         partial(bernoulli.multi_poly_bernoulli, _two_pads(b)),
         partial(bernoulli.w_family, 3 + b),
     )
 
 
-def _eval_cycle_bmulti(bd):
-    idx, window = bd["idx"], _cycle_window(bd["n_max"])
-    seq = bernoulli.multi_poly_bernoulli_li_sequence(idx, bd["n_max"])
+def _eval_cycle_bmulti(idx, n_max):
+    window = _cycle_window(n_max)
+    seq = bernoulli.multi_poly_bernoulli_li_sequence(idx, n_max)
     return _digit_cycle(
         window, partial(bernoulli.multi_poly_bernoulli, idx), seq.__getitem__
     )
 
 
-def _eval_cycle_u(bd):
-    idx, window = bd["idx"], _cycle_window(bd["n_max"])
+def _eval_cycle_u(idx, n_max):
     return _digit_cycle(
-        window, partial(bernoulli.u_number, idx), partial(bernoulli.u_from_mu, idx)
+        _cycle_window(n_max), partial(bernoulli.u_number, idx), partial(bernoulli.u_from_mu, idx)
     )
 
 
-def _eval_interp(bd):
-    b, n = bd["b"], bd["n"]
+def _eval_interp(b, n):
     bars = 3 + b
     pairs = [
         (i, jj) for i in range(bars + 1) for jj in range(i + 1, bars + 1)
@@ -454,15 +426,12 @@ def _eval_interp(bd):
     return lhs, rhs, note
 
 
-def _eval_t3b(bd):
-    idx, n = bd["idx"], bd["n"]
+def _eval_t3b(idx, n):
     lhs = bernoulli.u_stirling_sum(tuple(-e for e in idx), n)
-    rhs = bernoulli.u_via_shift(idx, n)
-    return _exact(lhs), rhs, None
+    return bernoulli.as_int(lhs), bernoulli.u_via_shift(idx, n), None
 
 
-def _eval_urel(bd):
-    b, n = bd["b"], bd["n"]
+def _eval_urel(b, n):
     lhs = bernoulli.u_number(_two_pads(b), n)
     rhs = bernoulli.multi_poly_bernoulli(_two_pads(b + 1), n)
     note = (
@@ -474,8 +443,7 @@ def _eval_urel(bd):
     return lhs, rhs, note
 
 
-def _eval_eq13(bd):
-    b, n = bd["b"], bd["n"]
+def _eval_eq13(b, n):
     lhs = p_egf(4 + b, 1, n)[n]
 
     def conv(u_value) -> int:
@@ -498,8 +466,7 @@ def _eval_eq13(bd):
     return lhs, shift_u, note
 
 
-def _eval_eq11b_sign(bd):
-    b, n = bd["b"], bd["n"]
+def _eval_eq11b_sign(b, n):
     lhs = bernoulli.multi_poly_bernoulli(_two_pads(b), n)
     series = counts.two_minus_exp(n) * exp_series(-(3 + b), n)
     rhs = series.coeff_int(n)
@@ -770,7 +737,7 @@ def run_identity(
         binding = dict(zip(names, combo))
         if spec.constraint is not None and not spec.constraint(**binding):
             continue
-        lhs, rhs, note = spec.evaluate(binding)
+        lhs, rhs, note = spec.evaluate(**binding)
         reports.append(
             CheckReport(
                 identity=ident,

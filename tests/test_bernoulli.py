@@ -414,3 +414,25 @@ def _u_stirling_reference(indices, n):
 )
 def test_u_stirling_sum_matches_the_literal_chain_sum(indices, n):
     assert u_stirling_sum(indices, n) == _u_stirling_reference(indices, n)
+
+
+@pytest.mark.parametrize("route, args, message", [
+    (multi_poly_bernoulli, ((1,), -1), "n must be >= 0"),
+    (poly_bernoulli, (1, -1), "n must be >= 0"),
+    (poly_bernoulli_double_sum, (1, -1), "n must be >= 0"),
+    (multi_poly_bernoulli_li_oracle, ((1,), -1), "n must be >= 0"),
+    (multi_poly_bernoulli_li_sequence, ((1,), -1), "n_max must be >= 0"),
+    (w_family, (2, -1), "n must be >= 0"),
+    (u_via_shift, ((1,), -1), "n must be >= 0"),
+    (u_from_mu, ((1,), -1), "n must be >= 0"),
+    (reciprocal_coefficient, (1, -1), "r and n must be >= 0"),
+    (u_stirling_sum, ((), 2), "need at least one index entry"),
+    (u_stirling_sum, ((1,), -1), "n must be >= 0"),
+    (corollary_convolution, (1, 0, 2), "b must be >= 1"),
+    (corollary_convolution, (-1, 1, 2), "j and n must be >= 0"),
+    (corollary_convolution, (1, 1, -1), "j and n must be >= 0"),
+])
+def test_b_and_u_routes_refuse_bad_arguments(route, args, message):
+    with pytest.raises(ValueError) as exc:
+        route(*args)
+    assert str(exc.value) == message

@@ -7,6 +7,7 @@ from rbpa.bernoulli import multi_poly_bernoulli_li_sequence, u_number
 from rbpa.cli import J_CLI_MAX, R_CLI_MAX, SEQ_CLI_MAX, _glue_index, main
 from rbpa.counts import p_egf, two_minus_exp
 from rbpa.egf import exp_series
+from rbpa.identities import REGISTRY, IdentitySpec
 
 
 def run(capsys, *argv):
@@ -215,7 +216,7 @@ def _no_route(*args):
 def no_routes(monkeypatch):
     """Every value route that seq, cycle and egf reach raises if called."""
     for module, name in [
-        (counts, "p_egf"), (counts, "two_minus_exp"), (cli, "exp_series"),
+        (counts, "p_egf"), (counts, "two_minus_exp"),
         (bernoulli, "poly_bernoulli"), (bernoulli, "multi_poly_bernoulli"),
         (bernoulli, "u_number"), (bernoulli, "u_stirling_sum"),
         (bernoulli, "w_family"),
@@ -382,3 +383,72 @@ def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["seq", "--family", "zzz", "--n-max", "3"])
     assert exc.value.code == 2
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(bernoulli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bernoulli, name, counted)
+    return calls
+
+
+CYCLE_INTEGER = "rbpa: cycle check needs an integer family\n"
+BFILE_INTEGER = "rbpa: bfile output needs integer values; use json or csv\n"
+
+
+@pytest.mark.parametrize("argv, route, most_calls, message", [
+    # B^{(11)}_0 = 1 and B^{(11)}_1 = 1/2048
+    ("cycle --family B --index 11 --n-max 499", "poly_bernoulli", 2,
+     CYCLE_INTEGER),
+    ("seq --family B --index 11 --n-max 499 --format bfile",
+     "poly_bernoulli", 2, BFILE_INTEGER),
+    # U^{(3,3,3)}_0 = 1/216
+    ("cycle --family U --index 3,3,3 --n-max 499", "u_stirling_sum", 1,
+     CYCLE_INTEGER),
+    ("seq --family U --index 3,3,3 --n-max 499 --format bfile",
+     "u_stirling_sum", 1, BFILE_INTEGER),
+])
+def test_a_rational_family_is_refused_at_its_first_proper_fraction(
+        capsys, monkeypatch, argv, route, most_calls, message):
+    calls = _counting(monkeypatch, route)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == message
+    assert 1 <= len(calls) <= most_calls
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("seq --family B --n-max 3", "rbpa: family B needs --index\n"),
+    ("seq --family U --n-max 3", "rbpa: family U needs --index\n"),
+    ("seq --family W --n-max 3", "rbpa: family W needs --r\n"),
+    ("seq --family W --r 0 --n-max 3", "rbpa: family W needs --r >= 1\n"),
+    ("seq --family W --r 2 --n-max -1", "rbpa: --n-max must be >= 0\n"),
+    ("egf --r 1 --j 1 --order -1", "rbpa: --order must be >= 0\n"),
+    ("egf --r -1 --j 1 --order 3", "rbpa: --r and --j must be >= 0\n"),
+    ("oracle --r 1 --j -1 --n-max 3", "rbpa: --r and --j must be >= 0\n"),
+])
+def test_missing_or_negative_arguments_are_usage_errors(
+        capsys, no_routes, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
+    spec = REGISTRY.get("L1")
+    monkeypatch.setitem(REGISTRY._specs, "L1", IdentitySpec(
+        spec.ident, spec.anchor, spec.lhs_method, spec.rhs_method,
+        spec.domain, lambda s, n: (0, 1, None), spec.diagnostic,
+        spec.constraint,
+    ))
+    code, out, err = run(capsys, "verify", "L1", "--set", "s=2", "--set", "n=1")
+    assert code == 1
+    assert err == ""
+    assert [r["pass"] for r in json.loads(out)] == [False]

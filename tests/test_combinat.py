@@ -142,3 +142,14 @@ def test_int_pow():
 
 def test_factorial():
     assert [factorial(n) for n in range(6)] == [1, 1, 2, 6, 24, 120]
+
+
+@pytest.mark.parametrize("route, args, message", [
+    (stirling2_row, (-1,), "stirling2_row: n must be >= 0, got -1"),
+    (stirling2, (-1, 0), "stirling2: n must be >= 0, got -1"),
+    (factorial, (-1,), "factorial: n must be >= 0, got -1"),
+])
+def test_negative_n_is_refused(route, args, message):
+    with pytest.raises(ValueError) as exc:
+        route(*args)
+    assert str(exc.value) == message

@@ -415,3 +415,19 @@ def test_p_egf_refuses_a_non_integer_with_a_type_error():
 def test_every_p_route_refuses_non_integers(route, bad):
     with pytest.raises(TypeError):
         route(*bad)
+
+
+@pytest.mark.parametrize("route, args, message", [
+    (p_binomial_shift, (-1, 1, 3), "r, j, n must be >= 0"),
+    (p_binomial_shift, (1, 1, -1), "r, j, n must be >= 0"),
+    (p_recurrence, (1, -1, 3), "r, j, n must be >= 0"),
+    (p_recurrence, (1, 1, -1), "r, j, n must be >= 0"),
+    (p_double_sum, (-1, 1, 3), "r, n must be >= 0"),
+    (p_double_sum, (1, 1, -1), "r, n must be >= 0"),
+    (p_series_certified, (-1, 1, 3), "r, n must be >= 0"),
+    (p_series_certified, (1, 1, -1), "r, n must be >= 0"),
+])
+def test_p_routes_refuse_negative_arguments(route, args, message):
+    with pytest.raises(ValueError) as exc:
+        route(*args)
+    assert str(exc.value) == message

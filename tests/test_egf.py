@@ -177,3 +177,15 @@ def test_pow_makes_only_the_products_it_reads(monkeypatch):
         f ** k
         assert (calls["mul"], calls["square"]) == (muls, squares), k
     assert f ** 1 is f
+
+
+@pytest.mark.parametrize("operation, message", [
+    (lambda f: f + 1, "unsupported operand type(s) for +: 'Egf' and 'int'"),
+    (lambda f: f - 1, "unsupported operand type(s) for -: 'Egf' and 'int'"),
+    (lambda f: f * "x", "can't multiply sequence by non-int of type 'Egf'"),
+    (lambda f: "x" * f, "can't multiply sequence by non-int of type 'Egf'"),
+])
+def test_arithmetic_with_a_non_series_is_a_type_error(operation, message):
+    with pytest.raises(TypeError) as exc:
+        operation(series([1, 2, 3]))
+    assert str(exc.value) == message

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 from fractions import Fraction
 
@@ -265,3 +266,40 @@ def test_a_non_integral_b_value_never_passes(monkeypatch, ident, binding):
     # 14/15 has numerator 14, and 29/2 truncates to 14
     assert with_b_2(Fraction(14, 15)) in ("failed", "raised")
     assert with_b_2(Fraction(29, 2)) in ("failed", "raised")
+
+
+def test_registering_a_duplicate_id_is_rejected():
+    reg = Registry()
+    reg.register(REGISTRY.get("T3"))
+    with pytest.raises(ValueError) as exc:
+        reg.register(REGISTRY.get("T3"))
+    assert str(exc.value) == "duplicate identity id T3"
+
+
+def _with_evaluator(monkeypatch, ident, evaluate):
+    spec = REGISTRY.get(ident)
+    monkeypatch.setitem(REGISTRY._specs, ident, IdentitySpec(
+        spec.ident, spec.anchor, spec.lhs_method, spec.rhs_method,
+        spec.domain, evaluate, spec.diagnostic, spec.constraint,
+    ))
+
+
+def test_run_all_counts_a_failing_check(monkeypatch):
+    # L1 is not diagnostic; one wrong binding out of its domain fails the run
+    _with_evaluator(
+        monkeypatch, "L1", lambda s, n: (0, int((s, n) == (3, 1)), None)
+    )
+    summary = run_all("quick")
+    assert summary.failed == 1
+    assert summary.exit_code == 1
+    assert [r.params for r in summary.failures] == [{"s": 3, "n": 1}]
+
+
+@pytest.mark.parametrize("profile", sorted(identities.PROFILES))
+def test_every_evaluator_takes_its_domain_by_keyword(profile):
+    # a misspelled parameter, or a domain key an evaluator ignores, shows
+    # here; run_identity calls spec.evaluate(**binding)
+    for ident in REGISTRY.ids():
+        spec = REGISTRY.get(ident)
+        params = list(inspect.signature(spec.evaluate).parameters)
+        assert params == list(spec.domain(profile)), ident

@@ -240,3 +240,10 @@ def test_union_count_small_values():
     assert oracle.count_some_section_at_most_one_block(3, 2, 0) == 0
     with pytest.raises(ValueError):
         oracle.count_some_section_at_most_one_block(2, 1, 2)
+
+
+@pytest.mark.parametrize("bars", [-1, -5])
+def test_with_empty_refuses_negative_bars(bars):
+    with pytest.raises(ValueError) as exc:
+        oracle.enumerate_rbpa_with_empty(2, bars, 0, 1)
+    assert str(exc.value) == "bars must be >= 0"

@@ -35,7 +35,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .combinat import (
-    binomial, binomial_convolution, factorial, grown_order, int_pow, stirling2,
+    RowCache, binomial, binomial_convolution, factorial, int_pow, stirling2,
     stirling2_row,
 )
 from .egf import Egf, exp_series, one
@@ -292,18 +292,16 @@ def w_family(r: int, n: int) -> int:
 # U numbers: the B family shifted by one more e^{-m} factor
 
 
-@lru_cache(maxsize=None)
-def _chain_power_rows(indices: tuple, t_max: int) -> tuple[tuple[int, ...], int]:
+def _chain_power_rows(indices: tuple, t_max: int) -> tuple[int, ...]:
     """T_b(t) = sum over 0 < s_1 < ... < s_b = t of prod s_i^{-k_i}, in ints.
 
-    indices are the actual signed upper indices. Returns (row, exponent)
-    with exponent the sum of the positive indices: entry t of row is
-    T_b(t) lcm(1..t)^exponent, an int because every s_i <= t divides
-    lcm(1..t). With no positive index the exponent is 0 and the row is
-    T_b itself. Built depth by depth with running prefix sums; a prefix
-    sum moves from scale lcm(1..t-1) to lcm(1..t) by one multiplication
-    where t is a prime power, so entry t never depends on t_max and a
-    shorter row is a slice of a longer one.
+    indices are the actual signed upper indices. Entry t of the row is
+    T_b(t) lcm(1..t)^K, K the sum of the positive indices, an int
+    because every s_i <= t divides lcm(1..t). With no positive index
+    K is 0 and the row is T_b itself. Built depth by depth with running
+    prefix sums; a prefix sum moves from scale lcm(1..t-1) to lcm(1..t)
+    by one multiplication where t is a prime power, so entry t never
+    depends on t_max and a shorter row is a slice of a longer one.
     """
     lcms = [1] * (t_max + 1)  # lcm(1..t), read only for a positive index
     if max(indices) > 0:
@@ -329,11 +327,12 @@ def _chain_power_rows(indices: tuple, t_max: int) -> tuple[tuple[int, ...], int]
             nxt[t] = factor(t, k) * running
         chain = nxt
         exponent += max(k, 0)
-    return tuple(chain), exponent
+    return tuple(chain)
 
 
-# indices -> t_max of the longest _chain_power_rows built for them
-_chain_orders: dict[tuple, int] = {}
+# indices -> the longest _chain_power_rows built for them
+_chain_rows = RowCache()
+_chain_power_rows.cache_info = _chain_rows.cache_info
 
 
 def u_stirling_sum(indices: Sequence[int], n: int) -> Fraction:
@@ -353,9 +352,8 @@ def u_stirling_sum(indices: Sequence[int], n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     b = len(idx)
-    chain, exponent = _chain_power_rows(
-        idx, grown_order(_chain_orders, idx, n + b)
-    )
+    chain = _chain_rows.row(idx, n + b, _chain_power_rows, idx)
+    exponent = sum(k for k in idx if k > 0)
     row = stirling2_row(n + 1)
     # the two signs merge: (-1)^{n+1} (-1)^{t-b+1} (t-b)! runs from (-1)^n
     total, weight = 0, (-1) ** n
@@ -455,7 +453,6 @@ def corollary_convolution_check(j: int, b: int, n: int) -> bool:
     return lhs == rhs
 
 
-@lru_cache(maxsize=None)
 def _reciprocal_row(r: int, order: int) -> tuple[int, ...]:
     """Coefficients 0..order of the reciprocal of e^{rm}/(2-e^m)."""
     series = exp_series(r, order) * (2 * one(order) - exp_series(1, order)).reciprocal()
@@ -463,8 +460,9 @@ def _reciprocal_row(r: int, order: int) -> tuple[int, ...]:
     return tuple(inverse.coeff_int(m) for m in range(order + 1))
 
 
-# r -> order of the longest _reciprocal_row built for it
-_reciprocal_orders: dict[int, int] = {}
+# r -> the longest _reciprocal_row built for it
+_reciprocal_rows = RowCache()
+_reciprocal_row.cache_info = _reciprocal_rows.cache_info
 
 
 def reciprocal_coefficient(r: int, n: int) -> int:
@@ -477,13 +475,11 @@ def reciprocal_coefficient(r: int, n: int) -> int:
     r, n = operator.index(r), operator.index(n)
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
-    return _reciprocal_row(r, grown_order(_reciprocal_orders, r, n))[n]
+    return _reciprocal_rows.row(r, n, _reciprocal_row, r)[n]
 
 
 def clear_caches() -> None:
     """Empty every cache and row table this module keeps, as at import."""
-    for cached in (_mu_table, poly_bernoulli, _z_power_rows,
-                   _chain_power_rows, _reciprocal_row):
-        cached.cache_clear()
-    _chain_orders.clear()
-    _reciprocal_orders.clear()
+    for cache in (_mu_table, poly_bernoulli, _z_power_rows,
+                  _chain_rows, _reciprocal_rows):
+        cache.cache_clear()

@@ -2,14 +2,63 @@
 
 Everything here returns plain Python ints. No floats anywhere; callers
 that need rationals wrap these in fractions.Fraction themselves.
-`grown_order` is the one growth rule of the build-once-then-slice row
-caches in `counts` and `bernoulli`.
+`RowCache` keeps every row table of the package: the Stirling rows
+here, the p and recurrence rows in `counts`, the chain and reciprocal
+rows in `bernoulli`.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import threading
+from collections import namedtuple
+
+CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
+
+
+class RowCache:
+    """One row per key, the longest built so far, counted like an lru_cache.
+
+    `row` serves entries 0..n from the stored row or builds one, at
+    order n for a cold key and at max(n, 2 * longest) past the longest,
+    so a sweep costs a logarithmic number of builds; entry m of a row
+    may not depend on the order it was built at. `put` keeps only a
+    longer row, under one lock. Racing threads may lose a count. A
+    module sets a table's `cache_info` on the function it serves, where
+    the benchmark's tracer and the tests read it.
+    """
+
+    def __init__(self) -> None:
+        self._rows: dict = {}
+        self._lock = threading.Lock()
+        self.hits = self.misses = 0
+
+    def get(self, key, default: tuple = ()) -> tuple:
+        return self._rows.get(key, default)
+
+    def put(self, key, row: tuple) -> None:
+        with self._lock:
+            if len(row) > len(self._rows.get(key, ())):
+                self._rows[key] = row
+
+    def row(self, key, n: int, build, *args) -> tuple:
+        """A row for key with more than n entries; build(*args, order) makes one."""
+        row = self._rows.get(key, ())
+        if n < len(row):
+            self.hits += 1
+            return row
+        self.misses += 1
+        row = build(*args, max(n, 2 * (len(row) - 1)))  # n for a cold key
+        self.put(key, row)
+        return row
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, len(self._rows))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._rows.clear()
+            self.hits = self.misses = 0
 
 
 def binomial(n: int, k: int) -> int:
@@ -40,30 +89,37 @@ def binomial_convolution(n: int, left, right, start: int = 0) -> int:
     return total
 
 
-# rows 0, 1, ... of the Stirling triangle built so far, keyed by n and
-# grown by stirling2_row; the keys are always 0..len - 1
-_stirling_rows: dict[int, tuple[int, ...]] = {0: (1,)}
-
-
-@lru_cache(maxsize=None)
 def stirling2_row(n: int) -> tuple[int, ...]:
     """Row n of the Stirling set-number triangle: ({n,0}, {n,1}, ..., {n,n}).
 
-    Triangle recurrence {n,k} = k*{n-1,k} + {n-1,k-1}. Rows are built
-    in a loop, row m from row m - 1, so a sweep to N costs O(N^2) in total
-    and no row nests a call for the row below it. Row m is stored with
-    setdefault under key m, so a thread that builds it second keeps the
-    first copy and no row lands under another row's key.
+    Triangle recurrence {n,k} = k*{n-1,k} + {n-1,k-1}. A missing row is
+    built in a loop from the highest stored row below it, row m from
+    row m - 1, so a sweep to N costs O(N^2) in total and no row nests
+    a call for the row below it.
     """
     if n < 0:
         raise ValueError(f"stirling2_row: n must be >= 0, got {n}")
-    for m in range(len(_stirling_rows), n + 1):
-        prev = _stirling_rows[m - 1]
-        _stirling_rows.setdefault(m, tuple(
-            (k * prev[k] if k < m else 0) + (prev[k - 1] if k >= 1 else 0)
+    return _stirling_rows.row(n, n, _build_stirling_rows)
+
+
+def _build_stirling_rows(n: int) -> tuple[int, ...]:
+    """Row n, storing each row built on the way from the highest stored one."""
+    m = n
+    while m > 1 and not _stirling_rows.get(m - 1):
+        m -= 1
+    row = _stirling_rows.get(m - 1, (1,))  # row 0 is (1,)
+    for m in range(max(m, 1), n + 1):
+        row = tuple(
+            (k * row[k] if k < m else 0) + (row[k - 1] if k >= 1 else 0)
             for k in range(m + 1)
-        ))
-    return _stirling_rows[n]
+        )
+        _stirling_rows.put(m, row)
+    return row
+
+
+# row n of the Stirling triangle under key n
+_stirling_rows = RowCache()
+stirling2_row.cache_info = _stirling_rows.cache_info
 
 
 def stirling2(n: int, k: int) -> int:
@@ -88,24 +144,6 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def grown_order(orders: dict, key, n: int) -> int:
-    """Order at which to build or slice a cached row for a length-n request.
-
-    orders maps each key to the longest row built for it. A cold key is
-    built at exactly n; a request past the longest row rebuilds at
-    max(n, 2 * longest), so a sweep of growing requests costs a
-    logarithmic number of builds. The caller's row must be sliceable:
-    entry m may not depend on the order the row was built at.
-    """
-    longest = orders.get(key)
-    if longest is None or n > longest:
-        longest = n if longest is None else max(n, 2 * longest)
-        orders[key] = longest
-    return longest
-
-
 def clear_caches() -> None:
-    """Empty the Stirling row cache and reseed its table, as at import."""
-    stirling2_row.cache_clear()
-    _stirling_rows.clear()
-    _stirling_rows[0] = (1,)
+    """Empty the Stirling row cache, as at import."""
+    _stirling_rows.cache_clear()

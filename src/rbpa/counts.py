@@ -10,14 +10,11 @@ j free sections, computed by four routes.
                    differences truncation
 
 Every route except p_recurrence reads generating-function rows through
-one row cache. `_p_row(r, j, order)` builds one truncated series per
-miss; `_p_values` serves each request for p^r_j(0..n) as a slice of the
-longest row built so far for (r, j). The growth rule is
-`combinat.grown_order`, shared with the sliced rows in `bernoulli`: a
-cold (r, j) is built at exactly n, so a single table costs what it
-always did, and a longer request rebuilds at max(n, 2 * longest).
-Slicing is exact because coefficient n of e^{rm}/(2-e^m)^j does not
-depend on the truncation order.
+one `combinat.RowCache`: `_p_row(r, j, order)` builds one truncated
+series per miss, and `_p_values` serves each request for p^r_j(0..n)
+as a slice of the longest row built for (r, j), grown by the cache's
+doubling rule. Slicing is exact because coefficient n of
+e^{rm}/(2-e^m)^j does not depend on the truncation order.
 
 The sums over those rows stay in integers. A shifted value
 p^base_j(n) = sum_s C(n,s) base^s p^0_j(n-s) is a degree-n polynomial
@@ -33,11 +30,9 @@ recurrence in k, so it costs O(n^2) integer operations whatever the
 truncation index S and is rounded by one shift. None of these sums
 builds a Fraction.
 
-p_recurrence keeps rows of its own, one per (r, j) with j >= 1,
-extended by a loop over n and the levels 1..j below it, never by a
-nested call. A row is published as a new, longer tuple and never
-appended to in place, so threads that race on a cold row cannot
-corrupt it.
+p_recurrence keeps a `RowCache` of its own, one row per (r, j) with
+j >= 1, extended to exactly n by a loop over n and the levels 1..j
+below it, never by a nested call.
 
 Every public route takes r, j and n through `operator.index`, so a
 float or a string is a TypeError, never a truncated or float value.
@@ -49,13 +44,11 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .combinat import binomial, grown_order, int_pow
+from .combinat import RowCache, binomial, int_pow
 from .egf import Egf, exp_series, one
 from .record import FrozenRecord
 
@@ -104,19 +97,19 @@ def two_minus_exp(order: int) -> Egf:
     return 2 * one(order) - exp_series(1, order)
 
 
-@lru_cache(maxsize=None)
 def _p_row(r: int, j: int, order: int) -> tuple[int, ...]:
     series = exp_series(r, order) * (two_minus_exp(order) ** j).reciprocal()
     return tuple(series.coeff_int(n) for n in range(order + 1))
 
 
-# (r, j) -> order of the longest _p_row built for it
-_row_orders: dict[tuple[int, int], int] = {}
+# (r, j) -> the longest _p_row built for it
+_p_rows = RowCache()
+_p_row.cache_info = _p_rows.cache_info
 
 
 def _p_values(r: int, j: int, n: int) -> tuple[int, ...]:
     """p^r_j(0..n), sliced from the longest cached row for (r, j)."""
-    return _p_row(r, j, grown_order(_row_orders, (r, j), n))[: n + 1]
+    return _p_rows.row((r, j), n, _p_row, r, j)[: n + 1]
 
 
 def p_egf(r: int, j: int, n_max: int) -> SequenceTable:
@@ -135,16 +128,8 @@ def p_binomial_shift(r: int, j: int, n: int) -> int:
     return _shifted_value(r, j, n)
 
 
-# (r, j) -> p^r_j(0..len - 1) for j >= 1, grown by _recurrence_row;
-# the lock makes replacing a row with a longer one a single step
-_recurrence_rows: dict[tuple[int, int], tuple[int, ...]] = {}
-_recurrence_lock = threading.Lock()
-# p_recurrence calls with j, n >= 1 answered from a stored row (hits)
-# and calls that had to grow one (misses)
-_recurrence_hits = 0
-_recurrence_misses = 0
-
-RowCacheInfo = namedtuple("RowCacheInfo", "hits misses currsize")
+# (r, j) -> p^r_j(0..len - 1) for j >= 1, grown by _recurrence_row
+_recurrence_rows = RowCache()
 
 
 def _recurrence_row(r: int, j: int, n: int) -> list[int]:
@@ -154,12 +139,10 @@ def _recurrence_row(r: int, j: int, n: int) -> list[int]:
     level 0 the powers r^m and every level starting at p^r_i(0) = 1.
     The loop runs over m outside and the levels inside, so one Pascal
     row serves every level and no level nests a call for the one below.
-    Each level is extended in a private list from the longest row built
-    so far and published as a new tuple, and only if it is longer than
-    the row it replaces, so a racing thread never sees a row change
-    under it and a published row never shrinks.
+    Each level is extended in a private list from its stored row and
+    published as a new tuple by `RowCache.put`, so a racing thread never
+    sees a row change under it.
     """
-    global _recurrence_misses
     keys = [(r, i) for i in range(1, j + 1)]
     levels = [list(_recurrence_rows.get(key, (1,))) for key in keys]
     start = min(map(len, levels))
@@ -173,11 +156,9 @@ def _recurrence_row(r: int, j: int, n: int) -> list[int]:
             below = level[m]
         pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
         power *= r
-    with _recurrence_lock:
-        _recurrence_misses += 1
-        for key, level in zip(keys, levels):
-            if len(level) > len(_recurrence_rows.get(key, ())):
-                _recurrence_rows[key] = tuple(level)
+    _recurrence_rows.misses += 1
+    for key, level in zip(keys, levels):
+        _recurrence_rows.put(key, tuple(level))
     return levels[-1]
 
 
@@ -191,7 +172,6 @@ def p_recurrence(r: int, j: int, n: int) -> int:
     `p_recurrence.cache_info()` counts the calls answered from a row
     (hits) and those that grew one (misses).
     """
-    global _recurrence_hits
     r, j, n = operator.index(r), operator.index(j), operator.index(n)
     if r < 0 or j < 0 or n < 0:
         raise ValueError("r, j, n must be >= 0")
@@ -199,24 +179,14 @@ def p_recurrence(r: int, j: int, n: int) -> int:
         return int_pow(r, n)
     if n == 0:
         return 1
-    row = _recurrence_rows.get((r, j), ())
+    row = _recurrence_rows.get((r, j))
     if n < len(row):
-        _recurrence_hits += 1
+        _recurrence_rows.hits += 1
         return row[n]
     return _recurrence_row(r, j, n)[n]
 
 
-def _recurrence_cache_info() -> RowCacheInfo:
-    """Hits, misses and stored rows of p_recurrence, as lru_cache reports them.
-
-    Counts are exact for one thread; racing threads may lose a hit.
-    """
-    return RowCacheInfo(_recurrence_hits, _recurrence_misses, len(_recurrence_rows))
-
-
-# the benchmark's tracer counts hits and misses by the public name, as
-# for the lru_cache'd routes
-p_recurrence.cache_info = _recurrence_cache_info
+p_recurrence.cache_info = _recurrence_rows.cache_info
 
 
 @lru_cache(maxsize=None)
@@ -418,15 +388,6 @@ def last_digit_cycle_check(values) -> bool:
 
 
 def clear_caches() -> None:
-    """Empty every cache and row table this module keeps, as at import.
-
-    The recurrence rows go with their hit and miss counts, as
-    cache_clear resets an lru_cache's.
-    """
-    global _recurrence_hits, _recurrence_misses
-    _p_row.cache_clear()
-    _row_orders.clear()
-    _shift_coeffs.cache_clear()
-    with _recurrence_lock:
-        _recurrence_rows.clear()
-        _recurrence_hits = _recurrence_misses = 0
+    """Empty every cache and row table this module keeps, as at import."""
+    for cache in (_p_rows, _shift_coeffs, _recurrence_rows):
+        cache.cache_clear()

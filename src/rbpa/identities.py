@@ -716,8 +716,9 @@ def run_identity(
     """All checks for one identity, in lexicographic binding order.
 
     overrides replaces whole domain lists, e.g. {"n": [0, 1, 2]}; a bare
-    value is treated as a one-element list. A domain that leaves no
-    binding to check is a ValueError, never an empty (passing) report.
+    value is treated as a one-element list, and a multi-index list takes
+    only tuples. A domain that leaves no binding to check is a
+    ValueError, never an empty (passing) report.
     """
     spec = REGISTRY.get(ident)
     domain = dict(spec.domain(profile))
@@ -727,10 +728,13 @@ def run_identity(
                 raise ValueError(
                     f"{ident} has no parameter {key!r}; knows {sorted(domain)}"
                 )
+            multi = isinstance(domain[key][0], tuple)
             if isinstance(value, (list, tuple, range)):
                 domain[key] = list(value)
             else:
                 domain[key] = [value]
+            if multi and not all(isinstance(v, tuple) for v in domain[key]):
+                raise ValueError(f"{ident}: {key} takes multi-indices, not {value!r}")
     reports = []
     names = list(domain)
     for combo in product(*(domain[k] for k in names)):

@@ -6,8 +6,9 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbpa import bernoulli
+from rbpa import bernoulli, counts
 from rbpa.combinat import binomial, factorial, stirling2
+from rbpa.counts import p_egf
 from rbpa.egf import exp_series, one
 from rbpa.bernoulli import (
     MuTable,
@@ -299,7 +300,8 @@ def test_sliced_rows_match_fresh_builds_in_any_order():
         b = len(indices)
         for n in sweep:
             # entry t of a fresh build carries the scale lcm(1..t)^exponent
-            chain, exponent = bernoulli._chain_power_rows.__wrapped__(indices, n + b)
+            chain = bernoulli._chain_power_rows(indices, n + b)
+            exponent = sum(k for k in indices if k > 0)
             fresh = (-1) ** (n + 1) * sum(
                 Fraction(chain[t], math.lcm(*range(1, t + 1)) ** exponent)
                 * (-1) ** (t - b + 1)
@@ -308,6 +310,34 @@ def test_sliced_rows_match_fresh_builds_in_any_order():
                 for t in range(b, n + b + 1)
             )
             assert u_stirling_sum(indices, n) == fresh
+
+
+def test_each_row_table_keeps_one_row_per_key():
+    # shuffled sweeps over several keys: each table keeps only the
+    # longest row per key, and every value read from it equals a build
+    # at exactly n
+    counts.clear_caches()
+    bernoulli.clear_caches()
+    rng = random.Random(5)
+    sweep = list(range(24))
+    p_keys = [(0, 1), (2, 3), (1, 0), (3, 2)]
+    for r, j in p_keys:
+        rng.shuffle(sweep)
+        for n in sweep:
+            assert p_egf(r, j, n).values == counts._p_row(r, j, n)
+    reciprocal_keys = [0, 2, 4]
+    for r in reciprocal_keys:
+        rng.shuffle(sweep)
+        for n in sweep:
+            assert reciprocal_coefficient(r, n) == bernoulli._reciprocal_row(r, n)[n]
+    chain_keys = [(-2,), (1,), (2, -1), (-1, 0, 1)]
+    for indices in chain_keys:
+        rng.shuffle(sweep)
+        for n in sweep:
+            assert u_stirling_sum(indices, n) == fraction_chain_u(indices, n)
+    assert counts._p_row.cache_info().currsize == len(p_keys)
+    assert bernoulli._reciprocal_row.cache_info().currsize == len(reciprocal_keys)
+    assert bernoulli._chain_power_rows.cache_info().currsize == len(chain_keys)
 
 
 def fraction_chain_u(indices, n):

@@ -347,6 +347,16 @@ def test_verify_cycle_window_too_short_is_a_usage_error(capsys, ident, n_max):
     assert err.startswith("rbpa: n_max must be >= 9")
 
 
+@pytest.mark.parametrize("ident", ["T3B", "CYCLE_U", "CYCLE_BMULTI"])
+def test_verify_refuses_an_int_for_a_multi_index(capsys, monkeypatch, no_routes, ident):
+    # --set gives ints, which no multi-index evaluator can take
+    monkeypatch.setattr(bernoulli, "multi_poly_bernoulli_li_sequence", _no_route)
+    code, out, err = run(capsys, "verify", ident, "--set", "idx=3")
+    assert code == 2
+    assert out == ""
+    assert err == f"rbpa: {ident}: idx takes multi-indices, not [3]\n"
+
+
 def test_verify_without_bindings_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "EQ9", "--set", "r=3", "--set", "b=4")
     assert code == 2

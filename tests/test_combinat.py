@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from rbpa import combinat
 from rbpa.combinat import (
-    binomial, binomial_convolution, factorial, int_pow, stirling2, stirling2_row,
+    RowCache, binomial, binomial_convolution, factorial, int_pow, stirling2,
+    stirling2_row,
 )
 
 
@@ -93,7 +94,7 @@ def test_cold_stirling_rows_built_by_racing_threads_stay_in_place():
 
     def build():
         start.wait()
-        rows.append(stirling2_row.__wrapped__(n))
+        rows.append(stirling2_row(n))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads inside the row loop
@@ -105,13 +106,45 @@ def test_cold_stirling_rows_built_by_racing_threads_stay_in_place():
             t.join()
     finally:
         sys.setswitchinterval(interval)
-    assert rows == [combinat._stirling_rows[n]] * 4
-    assert sorted(combinat._stirling_rows) == list(range(n + 1))
+    assert rows == [combinat._stirling_rows.get(n)] * 4
+    # rows 1..n, each under its own key
+    assert combinat._stirling_rows.cache_info().currsize == n
     for m in range(1, n + 1):
-        row = combinat._stirling_rows[m]
+        row = combinat._stirling_rows.get(m)
         assert len(row) == m + 1
         assert row[m] == 1
         assert row[m - 1] == binomial(m, 2)
+
+
+def test_racing_puts_keep_the_longest_row():
+    # eight threads put rows of eight lengths under each of many keys; a
+    # put that checked the length and stored apart from the lock loses
+    # a few keys to a shorter row
+    cache = RowCache()
+    lengths = (5, 40, 17, 3, 29, 11, 39, 8)
+    keys = 20000
+    start = threading.Barrier(len(lengths))
+
+    def put(length):
+        row = tuple(range(length))
+        start.wait()
+        for key in range(keys):
+            cache.put(key, row)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between the check and the store
+    try:
+        threads = [threading.Thread(target=put, args=(length,)) for length in lengths]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    longest = tuple(range(max(lengths)))
+    assert all(cache.get(key) == longest for key in range(keys))
+    assert cache.cache_info().currsize == keys
 
 
 def test_stirling2_out_of_range_is_zero():

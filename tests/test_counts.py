@@ -167,7 +167,8 @@ def test_row_cache_builds_each_row_once_per_doubling():
     random.Random(7).shuffle(sweep)
     values = {n: p_binomial_shift(0, 2, n) for n in sweep}
     assert counts._p_row.cache_info().misses == 3
-    assert counts._row_orders == {(0, 2): 90}
+    assert counts._p_row.cache_info().currsize == 1
+    assert len(counts._p_rows.get((0, 2))) == 91
     assert values == {n: p_recurrence(0, 2, n) for n in range(60)}
 
 
@@ -289,10 +290,10 @@ def test_difference_table_gives_the_literal_inner_sums(r, j, n):
         )
 
 
-def test_recurrence_in_j_needs_no_deep_recursion(monkeypatch):
+def test_recurrence_in_j_needs_no_deep_recursion():
     # the memoized recursion nested one call per level of j, so j = 500
     # overflowed the interpreter's default recursion limit
-    monkeypatch.setattr(counts, "_recurrence_rows", {})
+    counts.clear_caches()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
@@ -300,17 +301,16 @@ def test_recurrence_in_j_needs_no_deep_recursion(monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
     assert value == p_egf(0, 600, 2)[2]
-    assert sorted(counts._recurrence_rows) == [(0, i) for i in range(1, 601)]
+    assert counts._recurrence_rows.cache_info().currsize == 600
+    assert all(len(counts._recurrence_rows.get((0, i))) == 3 for i in range(1, 601))
     # n = 0 is 1 at once, with no row built for any level
     counts.clear_caches()
     assert p_recurrence(0, 10**7, 0) == 1
-    assert counts._recurrence_rows == {}
+    assert counts._recurrence_rows.cache_info().currsize == 0
 
 
-def test_recurrence_cache_info_counts_row_hits_and_misses(monkeypatch):
-    monkeypatch.setattr(counts, "_recurrence_rows", {})
-    monkeypatch.setattr(counts, "_recurrence_hits", 0)
-    monkeypatch.setattr(counts, "_recurrence_misses", 0)
+def test_recurrence_cache_info_counts_row_hits_and_misses():
+    counts.clear_caches()
     p_recurrence(2, 3, 10)  # grows rows (2, 1..3): one miss
     p_recurrence(2, 3, 4)  # read from row (2, 3)
     p_recurrence(2, 2, 10)  # read from row (2, 2), built on the way
@@ -321,20 +321,23 @@ def test_recurrence_cache_info_counts_row_hits_and_misses(monkeypatch):
     assert (info.hits, info.misses, info.currsize) == (2, 2, 3)
 
 
-def test_recurrence_rows_grown_in_any_order_match_the_series(monkeypatch):
-    monkeypatch.setattr(counts, "_recurrence_rows", {})
+def test_recurrence_rows_grown_in_any_order_match_the_series():
+    counts.clear_caches()
     requests = [(r, j, n) for r in range(4) for j in range(1, 4)
                 for n in range(0, 25, 3)]
     random.Random(11).shuffle(requests)
     for r, j, n in requests:
         assert p_recurrence(r, j, n) == p_egf(r, j, n)[n], (r, j, n)
-    for (r, j), row in counts._recurrence_rows.items():
-        assert type(row) is tuple
-        assert row == p_egf(r, j, len(row) - 1).values
+    assert counts._recurrence_rows.cache_info().currsize == 12
+    for r in range(4):
+        for j in range(1, 4):
+            row = counts._recurrence_rows.get((r, j))
+            assert type(row) is tuple
+            assert row == p_egf(r, j, len(row) - 1).values
 
 
-def test_cold_recurrence_rows_built_by_racing_threads_stay_correct(monkeypatch):
-    monkeypatch.setattr(counts, "_recurrence_rows", {})
+def test_cold_recurrence_rows_built_by_racing_threads_stay_correct():
+    counts.clear_caches()
     r, j = 3, 4
     targets = (40, 70, 100, 130)  # each thread extends the rows further
     start = threading.Barrier(len(targets))
@@ -359,9 +362,9 @@ def test_cold_recurrence_rows_built_by_racing_threads_stay_correct(monkeypatch):
     assert got == {n: expect[n] for n in targets}
     # the longest build wins whatever the order: no row is replaced by
     # a shorter one, and each is the exact prefix of the series
-    assert sorted(counts._recurrence_rows) == [(r, i) for i in range(1, j + 1)]
-    for (_, i), row in counts._recurrence_rows.items():
-        assert row == p_egf(r, i, max(targets)).values
+    assert counts._recurrence_rows.cache_info().currsize == j
+    for i in range(1, j + 1):
+        assert counts._recurrence_rows.get((r, i)) == p_egf(r, i, max(targets)).values
 
 
 def test_tail_certificate_bounds_the_exact_tail():

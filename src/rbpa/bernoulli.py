@@ -35,8 +35,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .combinat import (
-    RowCache, binomial, binomial_convolution, factorial, int_pow, stirling2,
-    stirling2_row,
+    RowCache, binomial, binomial_convolution, factorial, int_pow, power_sums,
+    stirling2, stirling2_row,
 )
 from .egf import Egf, exp_series, one
 from .record import FrozenRecord
@@ -126,11 +126,10 @@ def _b_values(
 ) -> list[int]:
     """sum_s mu_s (s+b)^n for n = n_min..n_max: B at upper index -idx.
 
-    The one place the mu-weighted power sum is written: b defaults to
-    len(idx), and u_from_mu reads U at b = len(idx) - 1. Each term is
-    taken once at n_min and then stepped by one multiplication per n.
-    The all-zero index falls outside the mu recursion and gives b^n
-    (its generating function is e^{bm}).
+    The one place the mu-weighted power sum is set up, for
+    `combinat.power_sums`: b defaults to len(idx), and u_from_mu reads
+    U at b = len(idx) - 1. The all-zero index falls outside the mu
+    recursion and gives b^n (its generating function is e^{bm}).
     """
     b = len(idx) if b is None else b
     if any(idx):
@@ -138,12 +137,7 @@ def _b_values(
         bases = range(b + 1, b + 1 + len(weights))
     else:
         weights, bases = (1,), (b,)
-    terms = [weight * int_pow(base, n_min) for weight, base in zip(weights, bases)]
-    values = [sum(terms)]
-    for _ in range(n_min, n_max):
-        terms = list(map(operator.mul, terms, bases))
-        values.append(sum(terms))
-    return values
+    return power_sums(weights, bases, n_min, n_max)
 
 
 def multi_poly_bernoulli(idx: Sequence[int], n: int) -> int:

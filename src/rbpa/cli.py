@@ -96,7 +96,7 @@ def _negated(entries: tuple[int, ...]) -> tuple[int, ...]:
 # --j (seq and cycle for families p and W, egf), so no input starts an
 # unbounded run. Every use in the tests, demos, README and benchmark
 # stays at or below 200 and 4; at the bounds the slowest runs take
-# 13-17 s (see README).
+# 3-7 s (see README).
 SEQ_CLI_MAX = 500
 J_CLI_MAX = 100
 R_CLI_MAX = 100
@@ -105,6 +105,40 @@ R_CLI_MAX = 100
 def _check_cap(flag: str, value: int, cap: int) -> None:
     if value > cap:
         raise UsageError(f"{flag} must be at most {cap}")
+
+
+# Ceilings of the values `verify --set` binds, per parameter, and of
+# the bindings one such run checks: the overridden lists and the
+# profile's lists for the rest, after the identity's constraint. That
+# count may reach SET_BINDINGS_MAX or the profile's own count, if
+# larger (L1's full profile checks 1020 cheap bindings). Each value's
+# least is its domain row's low, checked by `identities.bindings`. A
+# parameter with no ceiling here is refused, and a --set list may not
+# repeat a value, so no binding runs twice. Every --set run in the
+# README, CI and the passing tests stays inside; the slowest allowed
+# runs take 5-10 s (README).
+SET_MAX = {"n": 60, "n_max": 60, "r": 8, "j": 8, "b": 8, "s": 1000}
+SET_BINDINGS_MAX = 1000
+
+
+def _check_overrides(spec, overrides: dict, profile: str) -> None:
+    domain = spec.domain(profile)
+    for name, values in overrides.items():
+        if name not in domain or isinstance(domain[name][0], tuple):
+            continue  # identities.bindings refuses these
+        if name not in SET_MAX:
+            raise UsageError(f"--set {name} has no ceiling")
+        if max(values) > SET_MAX[name]:
+            raise UsageError(f"--set {name} takes values up to {SET_MAX[name]}")
+        if len(set(values)) < len(values):
+            raise UsageError(f"--set {name} repeats a value")
+    count = len(identities.bindings(spec.ident, overrides, profile))
+    most = max(SET_BINDINGS_MAX, len(identities.bindings(spec.ident, None, profile)))
+    if count > most:
+        raise UsageError(
+            f"{spec.ident} would check {count} bindings; --set allows at "
+            f"most {most}"
+        )
 
 
 def _family(args, n_max: int):
@@ -259,6 +293,8 @@ def cmd_verify(args) -> int:
     overrides = _parse_overrides(args.set)
     try:
         spec = identities.REGISTRY.get(args.identity)
+        if overrides:
+            _check_overrides(spec, overrides, args.profile)
         reports = identities.run_identity(
             args.identity, overrides=overrides or None, profile=args.profile
         )

@@ -10,6 +10,7 @@ rows in `bernoulli`.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import namedtuple
 
@@ -136,6 +137,21 @@ def int_pow(base: int, exp: int) -> int:
     if exp < 0:
         raise ValueError(f"int_pow: exp must be >= 0, got {exp}")
     return base ** exp
+
+
+def power_sums(weights, bases, n_min: int, n_max: int) -> list[int]:
+    """sum_i weights[i] * bases[i]^n for n = n_min..n_max, with 0^0 = 1.
+
+    Each term is taken once at n_min and then stepped by one
+    multiplication per n, so the list costs O(len(bases) * (n_max -
+    n_min)) integer operations.
+    """
+    terms = [w * int_pow(base, n_min) for w, base in zip(weights, bases)]
+    values = [sum(terms)]
+    for _ in range(n_min, n_max):
+        terms = list(map(operator.mul, terms, bases))
+        values.append(sum(terms))
+    return values
 
 
 def factorial(n: int) -> int:

@@ -11,7 +11,10 @@ j free sections, computed by four routes.
 
 Every route except p_recurrence reads generating-function rows through
 one `combinat.RowCache`: `_p_row(r, j, order)` builds one truncated
-series per miss, and `_p_values` serves each request for p^r_j(0..n)
+series per miss, as e^{rm} times the reciprocal of (2 - e^m)^j. That
+power is no series power: by the binomial theorem its coefficient n is
+the integer sum_i C(j,i) 2^(j-i) (-1)^i i^n, so it costs O(j * order)
+integer operations. `_p_values` serves each request for p^r_j(0..n)
 as a slice of the longest row built for (r, j), grown by the cache's
 doubling rule. Slicing is exact because coefficient n of
 e^{rm}/(2-e^m)^j does not depend on the truncation order.
@@ -48,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .combinat import RowCache, binomial, int_pow
+from .combinat import RowCache, binomial, int_pow, power_sums
 from .egf import Egf, exp_series, one
 from .record import FrozenRecord
 
@@ -97,8 +100,19 @@ def two_minus_exp(order: int) -> Egf:
     return 2 * one(order) - exp_series(1, order)
 
 
+def two_minus_exp_power(j: int, order: int) -> Egf:
+    """(2 - e^m)^j, expanded by the binomial theorem.
+
+    (2 - e^m)^j = sum_i C(j,i) 2^(j-i) (-1)^i e^{im}, so coefficient n
+    is sum_i C(j,i) 2^(j-i) (-1)^i i^n, with 0^0 = 1: a power sum of
+    O(j * order) integer operations that raises no series to a power.
+    """
+    weights = [(-1) ** i * math.comb(j, i) << (j - i) for i in range(j + 1)]
+    return Egf(order, tuple(power_sums(weights, range(j + 1), 0, order)))
+
+
 def _p_row(r: int, j: int, order: int) -> tuple[int, ...]:
-    series = exp_series(r, order) * (two_minus_exp(order) ** j).reciprocal()
+    series = exp_series(r, order) * two_minus_exp_power(j, order).reciprocal()
     return tuple(series.coeff_int(n) for n in range(order + 1))
 
 

@@ -9,7 +9,7 @@ holds.
 
 Each entry's default domain is data: a row of bounds per parameter,
 read against the caps that `PROFILES` sets for the profile (see
-`_domain`). Reports and command-line tables serialize exact values
+`_Domain`). Reports and command-line tables serialize exact values
 through the one `json_value` and the one `canonical_json`.
 """
 
@@ -162,17 +162,25 @@ class Registry:
 # domains
 
 
-def _domain(row: dict) -> Callable[[str], dict]:
+class _Domain:
     """The profile -> {param: values} callable that a row of bounds declares.
 
     Each bound is a cap name of `PROFILES` or a fixed number. A range
     (low, cap, offset) runs from low to cap + offset, or holds only
     cap + offset when low is None. A multi-index (max length, max entry)
     lists every index of length 1..max length with entries
-    0..max entry. Parameters keep the row's order.
+    0..max entry. Parameters keep the row's order. `lows` holds each
+    range's low, the least value an override may bind.
     """
 
-    def domain(profile: str) -> dict:
+    def __init__(self, row: dict) -> None:
+        self.row = row
+        self.lows = {
+            name: bounds[0] for name, bounds in row.items()
+            if len(bounds) == 3 and bounds[0] is not None
+        }
+
+    def __call__(self, profile: str) -> dict:
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}")
         caps = PROFILES[profile]
@@ -181,7 +189,7 @@ def _domain(row: dict) -> Callable[[str], dict]:
             return caps[bound] if isinstance(bound, str) else bound
 
         values = {}
-        for name, bounds in row.items():
+        for name, bounds in self.row.items():
             if len(bounds) == 2:
                 length, entry = map(cap, bounds)
                 values[name] = [
@@ -193,8 +201,6 @@ def _domain(row: dict) -> Callable[[str], dict]:
                 top = cap(top) + offset
                 values[name] = list(range(top if low is None else low, top + 1))
         return values
-
-    return domain
 
 
 def _two_pads(b: int) -> tuple:
@@ -231,10 +237,9 @@ def _digit_cycle(window: range, here, ahead):
 
 
 def _eval_cycle_p(r, j, n_max):
+    window = _cycle_window(n_max)
     row = p_egf(r, j, n_max).values
-    return _digit_cycle(
-        _cycle_window(n_max), row.__getitem__, partial(p_recurrence, r, j)
-    )
+    return _digit_cycle(window, row.__getitem__, partial(p_recurrence, r, j))
 
 
 def _eval_dsum_l(r, n):
@@ -492,7 +497,7 @@ REGISTRY = _build_registry((
         "p^r_j(n) = sum_{s=0}^{n} C(n,s) r^s p^0_j(n-s)",
         "counts.p_recurrence",
         "counts.p_binomial_shift",
-        _domain({"r": (0, "icap", 0), "j": (0, "icap", 0), "n": (0, "ncap", 0)}),
+        _Domain({"r": (0, "icap", 0), "j": (0, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_t3,
     ),
     IdentitySpec(
@@ -500,7 +505,7 @@ REGISTRY = _build_registry((
         "s^{n+4} == s^n (mod 10) for n >= 1",
         "builtins.pow with modulus 10",
         "combinat.int_pow reduced mod 10",
-        _domain({"s": (0, "scap", 0), "n": (1, "ecap", 0)}),
+        _Domain({"s": (0, "scap", 0), "n": (1, "ecap", 0)}),
         _eval_l1,
     ),
     IdentitySpec(
@@ -508,7 +513,7 @@ REGISTRY = _build_registry((
         "last digit of p^r_j(n) repeats with period 4 from n = 1",
         "counts.p_egf digits",
         "counts.p_recurrence digits four steps on",
-        _domain({"r": (0, "icap", 0), "j": (0, "icap", 0), "n_max": _CYCLE}),
+        _Domain({"r": (0, "icap", 0), "j": (0, "icap", 0), "n_max": _CYCLE}),
         _eval_cycle_p,
         constraint=lambda r, j, n_max: r + j >= 1,
     ),
@@ -517,7 +522,7 @@ REGISTRY = _build_registry((
         "p^r_1(n) = sum_k sum_{s<=k} C(k,s)(-1)^s (k-s+r)^n",
         "counts.p_egf",
         "literal alternating power double sum",
-        _domain({"r": (0, "icap", 0), "n": (0, "ncap", 0)}),
+        _Domain({"r": (0, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_dsum_l,
     ),
     IdentitySpec(
@@ -525,7 +530,7 @@ REGISTRY = _build_registry((
         "p^r_j(n) = sum_k sum_{s<=k} C(k,s)(-1)^s p^{r+k-s}_{j-1}(n)",
         "counts.p_egf",
         "counts.p_double_sum",
-        _domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
+        _Domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_dsum_t,
     ),
     IdentitySpec(
@@ -533,7 +538,7 @@ REGISTRY = _build_registry((
         "claim: p^r_{j-r}(n) = sum_{s=1}^{r} C(r,s)(-1)^{s+1} p^s_{j-s}(n)",
         "counts.p_egf at the all-marked-restricted family",
         "counts.p_inclusion_exclusion",
-        _domain({"r": (1, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
+        _Domain({"r": (1, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_incl_excl,
         diagnostic=True,
         constraint=lambda r, j, n: r <= j,
@@ -543,7 +548,7 @@ REGISTRY = _build_registry((
         "p^0_1(n) = sum_{s>=0} s^n / 2^{s+1}",
         "counts.p_egf",
         "literal certified series of weighted powers",
-        _domain({"n": (0, "ncap", 0)}),
+        _Domain({"n": (0, "ncap", 0)}),
         partial(_eval_ser_powers, 0),
     ),
     IdentitySpec(
@@ -551,7 +556,7 @@ REGISTRY = _build_registry((
         "p^2_1(n) = 2 sum_{s>=2} s^n / 2^s",
         "counts.p_egf",
         "literal certified series of weighted powers, reindexed",
-        _domain({"n": (0, "ncap", 0)}),
+        _Domain({"n": (0, "ncap", 0)}),
         partial(_eval_ser_powers, 2),
     ),
     IdentitySpec(
@@ -559,7 +564,7 @@ REGISTRY = _build_registry((
         "p^r_j(n) = (1/2) sum_{s>=0} p^{r+s}_{j-1}(n) / 2^s",
         "counts.p_egf",
         "counts.p_series_certified",
-        _domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
+        _Domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_ser_t,
     ),
     IdentitySpec(
@@ -567,7 +572,7 @@ REGISTRY = _build_registry((
         "p^0_1(n) = sum_{s=1}^{n-1} C(n,s) p^0_1(n-s) + 1 for n >= 1",
         "counts.p_egf",
         "binomial sum over counts.p_recurrence values plus one",
-        _domain({"n": (1, "ncap", 0)}),
+        _Domain({"n": (1, "ncap", 0)}),
         _eval_rec_l10,
     ),
     IdentitySpec(
@@ -575,7 +580,7 @@ REGISTRY = _build_registry((
         "p^2_1(n+1) = sum_{s=0}^{n} C(n+1,s) p^2_1(s) + 2^{n+1}",
         "counts.p_egf",
         "binomial sum over counts.p_recurrence values plus a power of two",
-        _domain({"n": (0, "ncap", 0)}),
+        _Domain({"n": (0, "ncap", 0)}),
         _eval_rec_l11,
         diagnostic=True,
     ),
@@ -584,7 +589,7 @@ REGISTRY = _build_registry((
         "p^r_j(n) = p^r_{j-1}(n) + sum_{s<n} C(n,s) p^r_j(s) for j, n >= 1",
         "counts.p_recurrence",
         "one recurrence step assembled from counts.p_egf values",
-        _domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (1, "ncap", 0)}),
+        _Domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (1, "ncap", 0)}),
         _eval_rec_t,
     ),
     IdentitySpec(
@@ -592,7 +597,7 @@ REGISTRY = _build_registry((
         "p^{r-3}_{j-1}(n) = sum_s C(n,s)(-1)^s B^{-2}_s p^r_j(n-s), r >= 3",
         "counts.p_egf at the shifted family",
         "bernoulli.poly_bernoulli convolution over counts.p_egf",
-        _domain({"r": (3, "icap", 3), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
+        _Domain({"r": (3, "icap", 3), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_eq5,
     ),
     IdentitySpec(
@@ -600,7 +605,7 @@ REGISTRY = _build_registry((
         "p^3_1(n) = sum_{s=1}^{n} C(n,s)(-1)^{s+1} B^{-2}_s p^3_1(n-s)",
         "counts.p_egf",
         "reciprocal-coefficient convolution over counts.p_recurrence",
-        _domain({"n": (1, "ncap", 0)}),
+        _Domain({"n": (1, "ncap", 0)}),
         _eval_eq6,
     ),
     IdentitySpec(
@@ -608,7 +613,7 @@ REGISTRY = _build_registry((
         "p^{3+b}_1(n) = sum_{s=1}^{n} C(n,s)(-1)^{s+1} B^{(-2,0^b)}_s p^{3+b}_1(n-s)",
         "counts.p_egf",
         "bernoulli.multi_poly_bernoulli convolution over counts.p_recurrence",
-        _domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
+        _Domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
         _eval_eq8,
     ),
     IdentitySpec(
@@ -616,7 +621,7 @@ REGISTRY = _build_registry((
         "claim: B^{(-2,0^b)}_n = sum_{s=1}^{n} C(n,s) p^{3+b}_1(s)(-1)^{n-s+1} B^{(-2,0^b)}_{n-s}",
         "bernoulli.multi_poly_bernoulli",
         "printed-sign convolution of counts.p_egf with bernoulli.w_family",
-        _domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
+        _Domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
         _eval_eq8_rearranged,
         diagnostic=True,
     ),
@@ -625,7 +630,7 @@ REGISTRY = _build_registry((
         "p^{r-(3+b)}_{j-1}(n) = sum_s C(n,s) p^r_j(s)(-1)^{n-s} B^{(-2,0^b)}_{n-s}, r >= 3+b",
         "counts.p_recurrence at the shifted family",
         "w_family convolution over counts.p_egf",
-        _domain({"b": (0, "icap", 0), "r": (3, "icap", 3),
+        _Domain({"b": (0, "icap", 0), "r": (3, "icap", 3),
                  "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_eq9,
         constraint=lambda b, r, j, n: r >= 3 + b,
@@ -635,7 +640,7 @@ REGISTRY = _build_registry((
         "B^{(-j,0^{b-1})}_n = sum_s C(n,s) B^{(0^{b-1})}_s B^{-j}_{n-s}",
         "bernoulli.multi_poly_bernoulli (mu route)",
         "binomial convolution of bernoulli.poly_bernoulli with the all-zero family",
-        _domain({"j": (0, "icap", 0), "b": (1, "icap", 0), "n": (0, "ncap", 0)}),
+        _Domain({"j": (0, "icap", 0), "b": (1, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_cor,
     ),
     IdentitySpec(
@@ -643,7 +648,7 @@ REGISTRY = _build_registry((
         "last digit of B^{(-2,0^b)}_n repeats with period 4 from n = 1",
         "bernoulli.multi_poly_bernoulli digits",
         "bernoulli.w_family digits four steps on",
-        _domain({"b": (0, "icap", 0), "n_max": _CYCLE}),
+        _Domain({"b": (0, "icap", 0), "n_max": _CYCLE}),
         _eval_cycle_b2,
     ),
     IdentitySpec(
@@ -651,7 +656,7 @@ REGISTRY = _build_registry((
         "last digit of B at any non-positive multi-index repeats with period 4 from n = 1",
         "bernoulli.multi_poly_bernoulli digits",
         "bernoulli.multi_poly_bernoulli_li_sequence digits four steps on",
-        _domain({"idx": ("mcap", "mcap"), "n_max": _CYCLE}),
+        _Domain({"idx": ("mcap", "mcap"), "n_max": _CYCLE}),
         _eval_cycle_bmulti,
     ),
     IdentitySpec(
@@ -659,7 +664,7 @@ REGISTRY = _build_registry((
         "last digit of U at any non-positive multi-index repeats with period 4 from n = 1",
         "bernoulli.u_number digits (finite Stirling sum)",
         "bernoulli.u_from_mu digits four steps on",
-        _domain({"idx": ("mcap", "mcap"), "n_max": _CYCLE}),
+        _Domain({"idx": ("mcap", "mcap"), "n_max": _CYCLE}),
         _eval_cycle_u,
     ),
     IdentitySpec(
@@ -667,7 +672,7 @@ REGISTRY = _build_registry((
         "with 3+b bars, all sections restricted, the arrangements with section i or jj empty number B^{(-2,0^b)}_n",
         "oracle.enumerate_rbpa_with_empty",
         "bernoulli.multi_poly_bernoulli (mu route)",
-        _domain({"b": (0, 2, 0), "n": (0, 6, 0)}),
+        _Domain({"b": (0, 2, 0), "n": (0, 6, 0)}),
         _eval_interp,
     ),
     IdentitySpec(
@@ -675,7 +680,7 @@ REGISTRY = _build_registry((
         "U^{(k_1..k_b)}_n = (-1)^{n+1} sum_{t=b}^{n+b} chain(t) (-1)^{t-b+1}(t-b)! {n+1 brace t-b+1}",
         "bernoulli.u_stirling_sum",
         "bernoulli.u_via_shift",
-        _domain({"idx": (2, "mcap"), "n": (0, "ncap", 0)}),
+        _Domain({"idx": (2, "mcap"), "n": (0, "ncap", 0)}),
         _eval_t3b,
     ),
     IdentitySpec(
@@ -683,7 +688,7 @@ REGISTRY = _build_registry((
         "claim: U^{(-2,0^b)}_n = B^{(-2,0^{b+1})}_n",
         "bernoulli.u_number",
         "bernoulli.multi_poly_bernoulli at the once-padded index",
-        _domain({"b": (0, "icap", 0), "n": (0, "ncap", 0)}),
+        _Domain({"b": (0, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_urel,
         diagnostic=True,
     ),
@@ -692,7 +697,7 @@ REGISTRY = _build_registry((
         "claim: p^{4+b}_1(n) = sum_{s=1}^{n} C(n,s)(-1)^{s+1} U^{(-2,0^b)}_s p^{4+b}_1(n-s)",
         "counts.p_egf",
         "U convolution over counts.p_recurrence, both U readings",
-        _domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
+        _Domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
         _eval_eq13,
         diagnostic=True,
     ),
@@ -701,11 +706,58 @@ REGISTRY = _build_registry((
         "claim: sum_n B^{(-2,0^b)}_n m^n/n! = (2-e^m) e^{-(3+b)m}",
         "bernoulli.multi_poly_bernoulli",
         "coefficient of the stated product series",
-        _domain({"b": (0, "icap", 0), "n": (0, "ncap", 0)}),
+        _Domain({"b": (0, "icap", 0), "n": (0, "ncap", 0)}),
         _eval_eq11b_sign,
         diagnostic=True,
     ),
 ))
+
+
+def bindings(
+    ident: str,
+    overrides: Optional[dict] = None,
+    profile: str = "full",
+) -> list[dict]:
+    """The bindings run_identity checks, in lexicographic order.
+
+    overrides replaces whole domain lists, e.g. {"n": [0, 1, 2]}; a bare
+    value is treated as a one-element list, and a multi-index list takes
+    only tuples. A value below its range's low, or a domain that leaves
+    no binding to check, is a ValueError, never an empty (passing)
+    report.
+    """
+    spec = REGISTRY.get(ident)
+    domain = dict(spec.domain(profile))
+    lows = getattr(spec.domain, "lows", {})
+    for key, value in (overrides or {}).items():
+        if key not in domain:
+            raise ValueError(
+                f"{ident} has no parameter {key!r}; knows {sorted(domain)}"
+            )
+        multi = isinstance(domain[key][0], tuple)
+        if isinstance(value, (list, tuple, range)):
+            domain[key] = list(value)
+        else:
+            domain[key] = [value]
+        if multi and not all(isinstance(v, tuple) for v in domain[key]):
+            raise ValueError(f"{ident}: {key} takes multi-indices, not {value!r}")
+        if key in lows and any(v < lows[key] for v in domain[key]):
+            raise ValueError(
+                f"{ident}: {key} takes values from {lows[key]}, "
+                f"got {min(domain[key])}"
+            )
+    names = list(domain)
+    found = []
+    for combo in product(*(domain[k] for k in names)):
+        binding = dict(zip(names, combo))
+        if spec.constraint is None or spec.constraint(**binding):
+            found.append(binding)
+    if not found:
+        raise ValueError(
+            f"{ident}: no binding to check; the domain is empty or the "
+            f"constraint rejects every binding"
+        )
+    return found
 
 
 def run_identity(
@@ -713,34 +765,10 @@ def run_identity(
     overrides: Optional[dict] = None,
     profile: str = "full",
 ) -> list[CheckReport]:
-    """All checks for one identity, in lexicographic binding order.
-
-    overrides replaces whole domain lists, e.g. {"n": [0, 1, 2]}; a bare
-    value is treated as a one-element list, and a multi-index list takes
-    only tuples. A domain that leaves no binding to check is a
-    ValueError, never an empty (passing) report.
-    """
+    """All checks for one identity, one per binding of `bindings`."""
     spec = REGISTRY.get(ident)
-    domain = dict(spec.domain(profile))
-    if overrides:
-        for key, value in overrides.items():
-            if key not in domain:
-                raise ValueError(
-                    f"{ident} has no parameter {key!r}; knows {sorted(domain)}"
-                )
-            multi = isinstance(domain[key][0], tuple)
-            if isinstance(value, (list, tuple, range)):
-                domain[key] = list(value)
-            else:
-                domain[key] = [value]
-            if multi and not all(isinstance(v, tuple) for v in domain[key]):
-                raise ValueError(f"{ident}: {key} takes multi-indices, not {value!r}")
     reports = []
-    names = list(domain)
-    for combo in product(*(domain[k] for k in names)):
-        binding = dict(zip(names, combo))
-        if spec.constraint is not None and not spec.constraint(**binding):
-            continue
+    for binding in bindings(ident, overrides, profile):
         lhs, rhs, note = spec.evaluate(**binding)
         reports.append(
             CheckReport(
@@ -751,11 +779,6 @@ def run_identity(
                 passed=lhs == rhs,
                 note=note,
             )
-        )
-    if not reports:
-        raise ValueError(
-            f"{ident}: no binding to check; the domain is empty or the "
-            f"constraint rejects every binding"
         )
     return reports
 

@@ -4,7 +4,10 @@ import pytest
 
 from rbpa import bernoulli, cli, combinat, counts, oracle
 from rbpa.bernoulli import multi_poly_bernoulli_li_sequence, u_number
-from rbpa.cli import J_CLI_MAX, R_CLI_MAX, SEQ_CLI_MAX, _glue_index, main
+from rbpa.cli import (
+    J_CLI_MAX, R_CLI_MAX, SEQ_CLI_MAX, SET_BINDINGS_MAX, SET_MAX, UsageError,
+    _check_overrides, _glue_index, main,
+)
 from rbpa.counts import p_egf, two_minus_exp
 from rbpa.egf import exp_series
 from rbpa.identities import REGISTRY, IdentitySpec
@@ -208,8 +211,8 @@ def test_j_has_an_upper_bound(capsys):
         assert err == f"rbpa: --j must be at most {J_CLI_MAX}\n"
 
 
-def _no_route(*args):
-    raise AssertionError(f"a route ran with {args}")
+def _no_route(*args, **kwargs):
+    raise AssertionError(f"a route ran with {args} {kwargs}")
 
 
 @pytest.fixture
@@ -217,6 +220,7 @@ def no_routes(monkeypatch):
     """Every value route that seq, cycle and egf reach raises if called."""
     for module, name in [
         (counts, "p_egf"), (counts, "two_minus_exp"),
+        (counts, "two_minus_exp_power"),
         (bernoulli, "poly_bernoulli"), (bernoulli, "multi_poly_bernoulli"),
         (bernoulli, "u_number"), (bernoulli, "u_stirling_sum"),
         (bernoulli, "w_family"),
@@ -449,6 +453,119 @@ def test_missing_or_negative_arguments_are_usage_errors(
     assert code == 2
     assert out == ""
     assert err == message
+
+
+@pytest.fixture
+def no_evaluators(monkeypatch):
+    """Every registry entry's evaluator raises if called."""
+    for ident in REGISTRY.ids():
+        spec = REGISTRY.get(ident)
+        monkeypatch.setitem(REGISTRY._specs, ident, IdentitySpec(
+            spec.ident, spec.anchor, spec.lhs_method, spec.rhs_method,
+            spec.domain, _no_route, spec.diagnostic, spec.constraint,
+        ))
+
+
+def _listed(values) -> str:
+    return ",".join(map(str, values))
+
+
+SET_N = "rbpa: --set n takes values up to 60\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each of these used to run past 20 s
+    ("verify T3 --set n=3000", SET_N),
+    ("verify L1 --set n=100000000 --set s=3", SET_N),
+    ("verify CYCLE_P --set n_max=5000 --set r=1 --set j=1",
+     "rbpa: --set n_max takes values up to 60\n"),
+    ("verify SER_T --set r=9", "rbpa: --set r takes values up to 8\n"),
+    ("verify L1 --set s=1001", "rbpa: --set s takes values up to 1000\n"),
+    # the least value is the domain row's low: a negative b used to end
+    # INTERP in an IndexError and fail EQ8, and L1 failed at n = 0
+    ("verify INTERP --set b=-5", "rbpa: INTERP: b takes values from 0, got -5\n"),
+    ("verify EQ8 --set b=2,-2", "rbpa: EQ8: b takes values from 0, got -2\n"),
+    ("verify L1 --set n=0", "rbpa: L1: n takes values from 1, got 0\n"),
+    ("verify INCL_EXCL --set r=2 --set j=3 --set n=5,5",
+     "rbpa: --set n repeats a value\n"),
+    (f"verify T3 --set r={_listed(range(9))} --set j={_listed(range(9))} "
+     f"--set n={_listed(range(13))}",
+     "rbpa: T3 would check 1053 bindings; --set allows at most 1000\n"),
+    # the profile's lists count for the parameters left alone, after the
+    # constraint r >= 3+b: 60 of EQ9's 100 bindings per n remain
+    (f"verify EQ9 --profile full --set n={_listed(range(19))}",
+     "rbpa: EQ9 would check 1140 bindings; --set allows at most 1000\n"),
+    # L1's full profile itself checks 1020 bindings
+    (f"verify L1 --profile full --set s={_listed(range(51))} "
+     f"--set n={_listed(range(1, 22))}",
+     "rbpa: L1 would check 1071 bindings; --set allows at most 1020\n"),
+])
+def test_verify_set_refuses_oversized_runs_before_any_check(
+        capsys, no_evaluators, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_verify_set_refuses_a_parameter_without_a_ceiling(
+        capsys, monkeypatch, no_evaluators):
+    monkeypatch.delitem(SET_MAX, "s")
+    code, out, err = run(capsys, "verify", "L1", "--set", "s=2")
+    assert (code, out, err) == (2, "", "rbpa: --set s has no ceiling\n")
+
+
+def test_every_scalar_parameter_has_a_ceiling():
+    for profile in ("quick", "full"):
+        for ident in REGISTRY.ids():
+            for name, values in REGISTRY.get(ident).domain(profile).items():
+                if not isinstance(values[0], tuple):
+                    assert name in SET_MAX, (ident, name)
+
+
+@pytest.mark.parametrize("ident, overrides", [
+    ("EQ9", {"b": [0, 1]}),  # the README's example
+    *[(ident, {"n": [36, 40]}) for ident in (
+        "DSUM_T", "SER_T", "T3", "REC_T", "EQ5", "EQ6", "EQ8",
+        "EQ8_REARRANGED", "EQ9", "EQ13", "COR", "T3B")],  # pinned in CI
+    ("CYCLE_U", {"n_max": [60]}),
+    ("CYCLE_P", {"n_max": [60]}),
+    # 896 bindings after EQ9's constraint, 1280 without it
+    ("EQ9", {"b": [0, 1, 2, 3], "n": list(range(16))}),
+])
+def test_verify_set_allows_the_documented_runs(ident, overrides):
+    _check_overrides(REGISTRY.get(ident), overrides, "full")
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_verify_set_allows_every_profile_list(profile):
+    for ident in REGISTRY.ids():
+        spec = REGISTRY.get(ident)
+        _check_overrides(spec, {}, profile)
+        for name, values in spec.domain(profile).items():
+            if not isinstance(values[0], tuple):
+                _check_overrides(spec, {name: values}, profile)
+
+
+def test_verify_runs_eq9_on_its_full_profile(capsys):
+    # 1600 bindings before the constraint r >= 3+b, 960 after
+    code, out, err = run(capsys, "verify", "EQ9", "--profile", "full")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)) == 960
+
+
+def test_verify_set_runs_at_its_ceilings(capsys):
+    code, out, _ = run(capsys, "verify", "T3", "--set", f"r={SET_MAX['r']}",
+                       "--set", f"j={SET_MAX['j']}", "--set", f"n={SET_MAX['n']}")
+    assert code == 0
+    assert [r["pass"] for r in json.loads(out)] == [True]
+    with pytest.raises(UsageError):
+        _check_overrides(REGISTRY.get("L1"), {"n": [SET_MAX["n"] + 1]}, "quick")
+    at_most = {"s": list(range(SET_BINDINGS_MAX // 20)), "n": list(range(1, 21))}
+    _check_overrides(REGISTRY.get("L1"), at_most, "quick")
+    at_most["s"].append(SET_MAX["s"])
+    with pytest.raises(UsageError):
+        _check_overrides(REGISTRY.get("L1"), at_most, "quick")
 
 
 def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):

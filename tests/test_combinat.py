@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from rbpa import combinat
 from rbpa.combinat import (
-    RowCache, binomial, binomial_convolution, factorial, int_pow, stirling2,
-    stirling2_row,
+    RowCache, binomial, binomial_convolution, factorial, int_pow, power_sums,
+    stirling2, stirling2_row,
 )
 
 
@@ -171,6 +171,20 @@ def test_int_pow():
     assert int_pow(10, 5) == 100000
     with pytest.raises(ValueError):
         int_pow(2, -1)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-50, 50), st.integers(-6, 6)), max_size=6),
+    st.integers(0, 12),
+    st.integers(0, 12),
+)
+def test_power_sums_match_a_literal_sum(terms, n_min, extra):
+    weights = [w for w, _ in terms]
+    bases = [base for _, base in terms]
+    assert power_sums(weights, bases, n_min, n_min + extra) == [
+        sum(w * base ** n for w, base in terms)
+        for n in range(n_min, n_min + extra + 1)
+    ]
 
 
 def test_factorial():

@@ -21,8 +21,9 @@ from rbpa.counts import (
     p_recurrence,
     p_series_certified,
     two_minus_exp,
+    two_minus_exp_power,
 )
-from rbpa.egf import exp_series
+from rbpa.egf import Egf, exp_series
 
 
 def test_known_rows():
@@ -177,6 +178,27 @@ def test_series_with_one_free_section_builds_no_row():
     counts.clear_caches()
     assert p_series_certified(2, 1, 10)[0] == p_recurrence(2, 1, 10)
     assert counts._p_row.cache_info().misses == 0
+
+
+@settings(deadline=None)
+@given(st.integers(0, 12), st.integers(0, 60))
+@example(0, 30)
+@example(5, 0)
+def test_binomial_power_row_equals_the_series_power(j, order):
+    assert two_minus_exp_power(j, order) == two_minus_exp(order) ** j
+
+
+def test_p_rows_raise_no_series_to_a_power(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a p row raised a series to a power")
+
+    monkeypatch.setattr(Egf, "__pow__", refuse)
+    monkeypatch.setattr(Egf, "_square", refuse)
+    counts.clear_caches()
+    for r in range(5):
+        for j in range(5):
+            expected = tuple(p_recurrence(r, j, n) for n in range(61))
+            assert p_egf(r, j, 60).values == expected
 
 
 def test_certified_round_equals_the_rational_partial_sum():

@@ -12,6 +12,7 @@ from rbpa.identities import (
     IdentitySpec,
     Registry,
     UnknownIdentityError,
+    bindings,
     json_value,
     run_all,
     run_identity,
@@ -170,6 +171,28 @@ def test_a_check_without_bindings_is_an_error():
         run_identity("EQ9", overrides={"r": 3, "b": 4})
     with pytest.raises(ValueError, match="T3"):
         run_identity("T3", overrides={"n": []})
+
+
+def test_bindings_are_what_run_identity_checks():
+    # EQ9's full lists hold 5 * 5 * 4 * 16 = 1600 bindings; r >= 3+b keeps 960
+    assert len(bindings("EQ9")) == 960
+    overrides = {"b": [0, 1], "n": [3]}
+    assert bindings("EQ9", overrides, "quick") == [
+        report.params for report in run_identity("EQ9", overrides, "quick")
+    ]
+
+
+@pytest.mark.parametrize("ident, overrides, message", [
+    # INTERP used to end in an IndexError, EQ8 in failed reports
+    ("INTERP", {"b": [-5]}, "INTERP: b takes values from 0, got -5"),
+    ("EQ8", {"b": [2, -2]}, "EQ8: b takes values from 0, got -2"),
+    ("L1", {"n": 0}, "L1: n takes values from 1, got 0"),
+    ("EQ5", {"r": [2, 3]}, "EQ5: r takes values from 3, got 2"),
+])
+def test_an_override_below_its_domain_row_is_refused(ident, overrides, message):
+    with pytest.raises(ValueError) as info:
+        run_identity(ident, overrides=overrides)
+    assert str(info.value) == message
 
 
 def test_coverage_table_lists_anchor_text():

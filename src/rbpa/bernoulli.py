@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -38,7 +38,7 @@ from .combinat import (
     RowCache, binomial, binomial_convolution, factorial, int_pow, power_sums,
     stirling2, stirling2_row,
 )
-from .egf import Egf, exp_series, one
+from .egf import exp_series, one
 from .record import FrozenRecord
 
 MultiIndex = tuple  # tuple[int, ...], entries >= 0, length >= 1
@@ -422,10 +422,11 @@ def corollary_convolution(j: int, b: int, n: int) -> tuple[int, Fraction]:
     """Both sides of the split of the b-position index (j, 0, ..., 0).
 
     Returns multi_poly_bernoulli((j, 0^{b-1}), n) and the convolution
-    sum_s C(n,s) B^{(0^{b-1})}_s B^{(-j)}_{n-s}; the b = 1 edge reads
-    the empty-index factor as [s = 0]. The convolution adds the
-    integral poly_bernoulli values as ints, each taken by `as_int`, so
-    a non-integral value raises ArithmeticError; it is returned as a
+    sum_s C(n,s) B^{(0^{b-1})}_s B^{(-j)}_{n-s}. The all-zero factor
+    B_0..B_n is one `_b_values` row, (b-1)^s; at b = 1 that is 0^s,
+    the empty-index factor [s = 0]. The convolution adds the integral
+    poly_bernoulli values as ints, each taken by `as_int`, so a
+    non-integral value raises ArithmeticError; it is returned as a
     Fraction.
     """
     if b < 1:
@@ -433,11 +434,10 @@ def corollary_convolution(j: int, b: int, n: int) -> tuple[int, Fraction]:
     if j < 0 or n < 0:
         raise ValueError("j and n must be >= 0")
     lhs = multi_poly_bernoulli((j,) + (0,) * (b - 1), n)
-    zeros = (
-        partial(multi_poly_bernoulli, (0,) * (b - 1)) if b > 1
-        else lambda s: int(s == 0)
+    zeros = _b_values((0,) * (b - 1), 0, n)
+    rhs = binomial_convolution(
+        n, zeros.__getitem__, lambda m: as_int(poly_bernoulli(-j, m))
     )
-    rhs = binomial_convolution(n, zeros, lambda m: as_int(poly_bernoulli(-j, m)))
     return lhs, Fraction(rhs)
 
 

@@ -52,7 +52,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .combinat import RowCache, binomial, int_pow, power_sums
-from .egf import Egf, exp_series, one
+from .egf import Egf, exp_series
 from .record import FrozenRecord
 
 
@@ -93,11 +93,6 @@ class TailCertificate(FrozenRecord):
         fields = self.__dict__
         fields["truncation_index"] = truncation_index
         fields["tail_bound"] = tail_bound
-
-
-def two_minus_exp(order: int) -> Egf:
-    """The series 2 - e^m: coefficients 2*[n=0] - 1."""
-    return 2 * one(order) - exp_series(1, order)
 
 
 def two_minus_exp_power(j: int, order: int) -> Egf:
@@ -281,17 +276,21 @@ def _certify_truncation(r: int, j: int, n: int) -> TailCertificate:
     form at s = S and S+1 together with the ratio condition
     (c+1)^e <= 2 c^e, which makes it persist for every s >= S. The
     geometric tail is then < 4 * 2^{-S/2}, recorded as a slightly
-    rounded-up rational. The exact search starts where the first test
-    can first hold by bit length, so S and its bound are unchanged.
+    rounded-up rational.
+
+    The search starts at the least t >= 7 with t >= bit_length(c^e) - 1,
+    the fixed point of t <- bit_length((r+j+t)^e) - 1 reached from 7.
+    c^e >= 2^(bit_length(c^e) - 1) and c^e grows with t, so every t
+    below that start fails c^e <= 2^t: S and its bound are those of a
+    search from 7, and a start past the cap raises the same error.
     """
     e = 2 * (n + j + 1)
     cap = 64 * (n + j + r + 4)
-    # c^e >= 2^(e*(bit_length(c)-1)), so no t below the first one with
-    # e*(bit_length(c)-1) <= t can pass c^e <= 2^t
     start = 7
-    while (need := e * ((r + j + start).bit_length() - 1)) > start:
-        start = need
     power = (r + j + start) ** e  # c^e for the current t
+    while (need := power.bit_length() - 1) > start:
+        start = need
+        power = (r + j + start) ** e
     for t in range(start, cap + 1):
         nxt = (r + j + t + 1) ** e  # (c+1)^e, the next step's c^e
         if power <= 1 << t and nxt <= 1 << (t + 1) and nxt <= power << 1:

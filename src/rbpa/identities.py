@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence
 from . import bernoulli, counts, oracle
 from .combinat import binomial, binomial_convolution, int_pow
 from .counts import _certify_truncation, certified_round, p_egf, p_recurrence
-from .egf import exp_series
 from .record import FrozenRecord
 
 
@@ -244,11 +243,11 @@ def _eval_cycle_p(r, j, n_max):
 
 def _eval_dsum_l(r, n):
     lhs = p_egf(r, 1, n)[n]
+    powers = [int_pow(m + r, n) for m in range(n + 4)]  # (m+r)^n, m = k - s
 
     def inner(k: int) -> int:
         return sum(
-            binomial(k, s) * (-1) ** s * int_pow(k - s + r, n)
-            for s in range(k + 1)
+            binomial(k, s) * (-1) ** s * powers[k - s] for s in range(k + 1)
         )
 
     rhs = sum(inner(k) for k in range(n + 1))
@@ -348,10 +347,10 @@ def _eval_eq6(n):
 
 def _eval_eq8(b, n):
     lhs = p_egf(3 + b, 1, n)[n]
-    pads = _two_pads(b)
+    b_row = bernoulli._b_values(_two_pads(b), 0, n)  # B^{(-2,0^b)}_0..n
     rhs = binomial_convolution(
         n,
-        lambda s: (-1) ** (s + 1) * bernoulli.multi_poly_bernoulli(pads, s),
+        lambda s: (-1) ** (s + 1) * b_row[s],
         partial(p_recurrence, 3 + b, 1),
         start=1,
     )
@@ -460,9 +459,7 @@ def _eval_eq13(b, n):
         )
 
     shift_u = conv(lambda s: bernoulli.u_number(_two_pads(b), s))
-    padded_u = conv(
-        lambda s: bernoulli.multi_poly_bernoulli(_two_pads(b + 1), s)
-    )
+    padded_u = conv(bernoulli._b_values(_two_pads(b + 1), 0, n).__getitem__)
     note = (
         f"with the shift-convention U the sum gives {shift_u}; reading U_s "
         f"as the (b+1)-padded B value gives {padded_u}, matching: "
@@ -473,8 +470,10 @@ def _eval_eq13(b, n):
 
 def _eval_eq11b_sign(b, n):
     lhs = bernoulli.multi_poly_bernoulli(_two_pads(b), n)
-    series = counts.two_minus_exp(n) * exp_series(-(3 + b), n)
-    rhs = series.coeff_int(n)
+    # coefficient n of (2 - e^m) e^{-(3+b)m}, a product of two EGFs
+    rhs = binomial_convolution(
+        n, lambda s: 2 * (s == 0) - 1, lambda m: int_pow(-(3 + b), m)
+    )
     note = (
         f"stated series carries coefficients (-1)^n times the values; "
         f"absolute values agree: {abs(rhs) == lhs}"

@@ -32,6 +32,11 @@ MAX_N = 9  # count grows super-exponentially past this
 # section counters for each, so its work is about k^(n+1); more than
 # this is refused before anything is allocated or enumerated.
 ORACLE_WORK_MAX = 10**7
+# iter_rbpa builds a structure in 2-10 us (2-vCPU VM, Python 3.11). Past
+# this many it refuses: its slowest allowed run, 498,246 structures over
+# 7 restricted and 1 free section at n = 6, took 4.6 s, while 10^6 over
+# 10 restricted sections at n = 6 took 10.1 s.
+ORACLE_STRUCTURES_MAX = 5 * 10**5
 
 
 class SizeLimitError(ValueError):
@@ -55,7 +60,7 @@ def _check_work(n: int, sections: int) -> None:
 
 
 def _check_arrangements(n: int, kinds: Sequence[str]) -> None:
-    """Refuse more than ORACLE_WORK_MAX structures from iter_rbpa(n, kinds).
+    """Refuse more than ORACLE_STRUCTURES_MAX structures from iter_rbpa.
 
     The count only gates the run and never enters a result. It is taken
     section by section over labelled elements: r restricted sections
@@ -74,15 +79,15 @@ def _check_arrangements(n: int, kinds: Sequence[str]) -> None:
         osp.append(sum(math.comb(t, s) * osp[t - s] for s in range(1, t + 1)))
     ways = [restricted**m for m in range(n + 1)]
     for _ in range(free):
-        if ways[n] > ORACLE_WORK_MAX:
+        if ways[n] > ORACLE_STRUCTURES_MAX:
             break
         ways = [
             sum(math.comb(m, t) * osp[t] * ways[m - t] for t in range(m + 1))
             for m in range(n + 1)
         ]
-    if ways[n] > ORACLE_WORK_MAX:
+    if ways[n] > ORACLE_STRUCTURES_MAX:
         raise SizeLimitError(
-            f"more than {ORACLE_WORK_MAX} arrangements at n = {n} over "
+            f"more than {ORACLE_STRUCTURES_MAX} arrangements at n = {n} over "
             f"{len(kinds)} sections exceed the enumeration work limit"
         )
 
@@ -161,9 +166,9 @@ def iter_rbpa(n: int, kinds: Sequence[str]) -> Iterator[Structure]:
     kinds is a sequence of "restricted" / "free" markers, one per
     section, in section order. Exists so tests can hash structures for
     duplicates and permute the restricted-section placement. A run whose
-    k^(n+1) assignment work over k sections, or whose number of
-    structures, exceeds ORACLE_WORK_MAX is refused before the first is
-    built.
+    k^(n+1) assignment work over k sections exceeds ORACLE_WORK_MAX, or
+    whose number of structures exceeds ORACLE_STRUCTURES_MAX, is refused
+    before the first is built.
 
     Structures come in the order of itertools.product over the
     sections' forms, built one at a time. Within one assignment a

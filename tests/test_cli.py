@@ -8,8 +8,8 @@ from rbpa.cli import (
     J_CLI_MAX, R_CLI_MAX, SEQ_CLI_MAX, SET_BINDINGS_MAX, SET_MAX, UsageError,
     _check_overrides, _glue_index, main,
 )
-from rbpa.counts import p_egf, two_minus_exp
-from rbpa.egf import exp_series
+from rbpa.counts import p_egf
+from rbpa.egf import exp_series, one
 from rbpa.identities import REGISTRY, IdentitySpec
 
 
@@ -118,7 +118,7 @@ def test_egf_output_matches_the_library_series(capsys):
     expected = {
         (): p_egf(2, 3, 30).values,
         ("--reciprocal",): tuple(
-            (exp_series(-2, 30) * two_minus_exp(30) ** 3).coeff_int(n)
+            (exp_series(-2, 30) * (2 * one(30) - exp_series(1, 30)) ** 3).coeff_int(n)
             for n in range(31)
         ),
     }
@@ -219,8 +219,7 @@ def _no_route(*args, **kwargs):
 def no_routes(monkeypatch):
     """Every value route that seq, cycle and egf reach raises if called."""
     for module, name in [
-        (counts, "p_egf"), (counts, "two_minus_exp"),
-        (counts, "two_minus_exp_power"),
+        (counts, "p_egf"), (counts, "two_minus_exp_power"),
         (bernoulli, "poly_bernoulli"), (bernoulli, "multi_poly_bernoulli"),
         (bernoulli, "u_number"), (bernoulli, "u_stirling_sum"),
         (bernoulli, "w_family"),

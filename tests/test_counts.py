@@ -20,10 +20,13 @@ from rbpa.counts import (
     p_inclusion_exclusion,
     p_recurrence,
     p_series_certified,
-    two_minus_exp,
     two_minus_exp_power,
 )
-from rbpa.egf import Egf, exp_series
+from rbpa.egf import Egf, exp_series, one
+
+
+def _two_minus_exp(order):
+    return 2 * one(order) - exp_series(1, order)
 
 
 def test_known_rows():
@@ -154,7 +157,7 @@ def test_row_cache_slices_match_fresh_builds(requests):
     # equals the order-n series built from scratch
     counts.clear_caches()
     for r, j, n in requests:
-        fresh = exp_series(r, n) * (two_minus_exp(n) ** j).reciprocal()
+        fresh = exp_series(r, n) * (_two_minus_exp(n) ** j).reciprocal()
         expected = tuple(fresh.coeff_int(m) for m in range(n + 1))
         assert p_egf(r, j, n).values == expected
 
@@ -185,7 +188,7 @@ def test_series_with_one_free_section_builds_no_row():
 @example(0, 30)
 @example(5, 0)
 def test_binomial_power_row_equals_the_series_power(j, order):
-    assert two_minus_exp_power(j, order) == two_minus_exp(order) ** j
+    assert two_minus_exp_power(j, order) == _two_minus_exp(order) ** j
 
 
 def test_p_rows_raise_no_series_to_a_power(monkeypatch):
@@ -251,10 +254,11 @@ def _certify_truncation_reference(r, j, n):
 
 
 def test_certify_truncation_matches_the_reference_search():
-    cases = [(r, j, n) for r in range(5) for j in range(5) for n in range(21)]
-    # larger n, where the search starts near S and skips most of the loop
+    # every r, j and n that `verify --set` allows, and larger n, where the
+    # search starts near S and skips most of the loop
+    cases = [(r, j, n) for r in range(9) for j in range(9) for n in range(61)]
     cases += [
-        (r, j, n) for r in range(9) for j in range(9) for n in range(25, 61, 5)
+        (r, j, n) for r in range(9) for j in range(9) for n in (80, 100, 150, 200)
     ]
     for r, j, n in cases:
         assert counts._certify_truncation(r, j, n) == (

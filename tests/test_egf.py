@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rbpa.counts import two_minus_exp
 from rbpa.egf import (
     Egf,
     NotAnIntegerError,
@@ -136,8 +135,8 @@ small_orders = st.integers(0, 12).flatmap(
 
 
 @given(small_orders, st.integers(0, 9), st.booleans())
-@example(two_minus_exp(30).coeffs, 3, False)  # the base of the p rows
-@example(two_minus_exp(30).coeffs, 9, False)
+@example((2 * one(30) - exp_series(1, 30)).coeffs, 3, False)  # 2 - e^m
+@example((2 * one(30) - exp_series(1, 30)).coeffs, 9, False)
 def test_pow_equals_the_k_fold_product(coeffs, k, zero_head):
     if zero_head:
         coeffs = [0] + coeffs[1:]

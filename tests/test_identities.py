@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rbpa import bernoulli, identities
+from rbpa.egf import exp_series, one
 from rbpa.identities import (
     REGISTRY,
     CheckReport,
@@ -127,6 +128,37 @@ def test_eq13_padded_reading_matches():
     for report in run_identity("EQ13", overrides={"b": [0, 1], "n": [1, 2, 3]}):
         assert not report.passed  # shift-convention side differs
         assert "matching: True" in report.note
+
+
+def test_eq11b_sign_convolution_is_the_series_product_coefficient():
+    # coefficient n of (2 - e^m) e^{-(3+b)m}; a coefficient does not
+    # depend on the order the product is truncated at
+    evaluate = REGISTRY.get("EQ11B_SIGN").evaluate
+    for b in range(9):
+        series = (2 * one(60) - exp_series(1, 60)) * exp_series(-(3 + b), 60)
+        for n in range(61):
+            assert evaluate(b=b, n=n)[1] == series.coeff_int(n)
+
+
+@pytest.mark.parametrize("ident, binding, calls", [
+    ("COR", {"j": 2, "b": 3}, 1),  # its left side
+    ("EQ8", {"b": 1}, 0),
+    ("EQ13", {"b": 1}, 0),
+])
+def test_a_b_factor_is_read_as_one_row(monkeypatch, ident, binding, calls):
+    # one check at n = 15 reads B_0..B_15 as one power-sum row, not one
+    # multi_poly_bernoulli call per convolution term
+    expected = run_identity(ident, {**binding, "n": 15})
+    real = bernoulli.multi_poly_bernoulli
+    seen = []
+
+    def counted(idx, n):
+        seen.append((idx, n))
+        return real(idx, n)
+
+    monkeypatch.setattr(bernoulli, "multi_poly_bernoulli", counted)
+    assert run_identity(ident, {**binding, "n": 15}) == expected
+    assert len(seen) == calls
 
 
 def test_interp_note_reports_the_bar_count_discrepancy():

@@ -104,6 +104,21 @@ def test_iter_rbpa_refuses_too_many_structures_at_once(monkeypatch):
         oracle.count_some_section_at_most_one_block(9, 2, 1)
 
 
+def test_iter_rbpa_refuses_just_above_the_structure_bound(monkeypatch):
+    # the structure bound sits below the assignment-work bound, which
+    # stays 10^7; 10 free sections at n = 5 make p^0_10(5) = 446,500
+    # structures, 5 free at n = 6 make p^0_5(6) = 507,035 and 9
+    # restricted at n = 6 make 9^6 = 531,441, each within 10^7 of work
+    assert oracle.ORACLE_STRUCTURES_MAX == 5 * 10**5
+    assert oracle.ORACLE_WORK_MAX == 10**7
+    oracle._check_arrangements(5, ("free",) * 10)
+    monkeypatch.setattr(oracle.itertools, "product", _no_enumeration)
+    with pytest.raises(oracle.SizeLimitError, match="more than 500000 arr"):
+        oracle.count_some_section_at_most_one_block(6, 5, 1)
+    with pytest.raises(oracle.SizeLimitError, match="more than 500000 arr"):
+        next(oracle.iter_rbpa(6, ("restricted",) * 9))
+
+
 @pytest.mark.parametrize("kinds", [
     (), ("free",), ("restricted",), ("free", "free"),
     ("restricted", "free"), ("free", "restricted", "free"),
@@ -112,10 +127,10 @@ def test_iter_rbpa_refuses_too_many_structures_at_once(monkeypatch):
 def test_iter_rbpa_bound_counts_exactly_the_structures(monkeypatch, kinds):
     for n in range(6):
         count = sum(1 for _ in oracle.iter_rbpa(n, kinds))
-        monkeypatch.setattr(oracle, "ORACLE_WORK_MAX", max(count, 1))
+        monkeypatch.setattr(oracle, "ORACLE_STRUCTURES_MAX", max(count, 1))
         oracle._check_arrangements(n, kinds)  # exactly at the bound
         if count > 1:
-            monkeypatch.setattr(oracle, "ORACLE_WORK_MAX", count - 1)
+            monkeypatch.setattr(oracle, "ORACLE_STRUCTURES_MAX", count - 1)
             with pytest.raises(oracle.SizeLimitError, match="arrangements"):
                 oracle._check_arrangements(n, kinds)
         monkeypatch.undo()

@@ -36,9 +36,8 @@ from typing import Sequence
 
 from .combinat import (
     RowCache, binomial, binomial_convolution, factorial, int_pow, power_sums,
-    stirling2, stirling2_row,
+    stirling2, stirling2_row, unit_reciprocal,
 )
-from .egf import exp_series, one
 from .record import FrozenRecord
 
 MultiIndex = tuple  # tuple[int, ...], entries >= 0, length >= 1
@@ -207,15 +206,18 @@ def poly_bernoulli_double_sum(k: int, n: int) -> Fraction:
 def _z_power_rows(order: int) -> tuple[tuple[int, ...], ...]:
     """Coefficient rows of (1 - e^{-m})^p for p = 0..order.
 
-    Row p starts at order p, so higher powers never reach coefficient
-    n <= order and are not needed.
+    Row p + 1 is row p times 1 - e^{-m} (coefficients 0, then
+    (-1)^{n+1}), an integer product. Row p starts at order p, so higher
+    powers never reach coefficient n <= order and are not needed.
     """
-    z = one(order) - exp_series(-1, order)
-    rows = []
-    power = one(order)
-    for _ in range(order + 1):
-        rows.append(tuple(power.coeff_int(n) for n in range(order + 1)))
-        power = power * z
+    z = [0] + [(-1) ** (n + 1) for n in range(1, order + 1)]
+    rows = [(1,) + (0,) * order]
+    for _ in range(order):
+        power = rows[-1]
+        rows.append(tuple(
+            binomial_convolution(n, z.__getitem__, power.__getitem__, start=1)
+            for n in range(order + 1)
+        ))
     return tuple(rows)
 
 
@@ -448,10 +450,17 @@ def corollary_convolution_check(j: int, b: int, n: int) -> bool:
 
 
 def _reciprocal_row(r: int, order: int) -> tuple[int, ...]:
-    """Coefficients 0..order of the reciprocal of e^{rm}/(2-e^m)."""
-    series = exp_series(r, order) * (2 * one(order) - exp_series(1, order)).reciprocal()
-    inverse = series.reciprocal()
-    return tuple(inverse.coeff_int(m) for m in range(order + 1))
+    """Coefficients 0..order of the reciprocal of e^{rm}/(2-e^m).
+
+    The reciprocal of 2 - e^m times e^{rm}, inverted: two
+    `unit_reciprocal`s and an integer product.
+    """
+    one_free = unit_reciprocal((1,) + (-1,) * order)  # 1/(2 - e^m)
+    exp_r = [int_pow(r, n) for n in range(order + 1)]  # e^{rm}
+    return unit_reciprocal(tuple(
+        binomial_convolution(n, exp_r.__getitem__, one_free.__getitem__)
+        for n in range(order + 1)
+    ))
 
 
 # r -> the longest _reciprocal_row built for it

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import bernoulli, counts, identities, oracle
-from .egf import Egf
+from .combinat import unit_reciprocal
 
 
 class UsageError(Exception):
@@ -204,7 +204,7 @@ def cmd_egf(args) -> int:
     _check_cap("--r", args.r, R_CLI_MAX)
     vals = counts.p_egf(args.r, args.j, args.order).values
     if args.reciprocal:
-        vals = Egf.from_coeffs(vals).reciprocal().coeffs
+        vals = unit_reciprocal(vals)
     params = {"r": args.r, "j": args.j, "reciprocal": bool(args.reciprocal)}
     _emit_values("egf", params, vals, args.format, sys.stdout)
     return 0

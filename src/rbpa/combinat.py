@@ -4,7 +4,8 @@ Everything here returns plain Python ints. No floats anywhere; callers
 that need rationals wrap these in fractions.Fraction themselves.
 `RowCache` keeps every row table of the package: the Stirling rows
 here, the p and recurrence rows in `counts`, the chain and reciprocal
-rows in `bernoulli`.
+rows in `bernoulli`. Exponential series with integer coefficients are
+multiplied by `binomial_convolution` and inverted by `unit_reciprocal`.
 """
 
 from __future__ import annotations
@@ -88,6 +89,24 @@ def binomial_convolution(n: int, left, right, start: int = 0) -> int:
     for s in range(start, n + 1):
         total += math.comb(n, s) * left(s) * right(n - s)
     return total
+
+
+def unit_reciprocal(row) -> tuple[int, ...]:
+    """1/f for the exponential series f with coefficients row and a_0 = 1.
+
+    q_0 = 1 and q_n = -sum_{s=1}^{n} C(n,s) a_s q_{n-s}, one
+    binomial_convolution per coefficient and no division, so an integer
+    row has an integer inverse. A row with a_0 != 1 is a ValueError.
+    """
+    head = row[0] if row else None
+    if head != 1:
+        raise ValueError(f"unit_reciprocal needs a_0 = 1, got {head}")
+    inverse = [1]
+    for n in range(1, len(row)):
+        inverse.append(
+            -binomial_convolution(n, row.__getitem__, inverse.__getitem__, start=1)
+        )
+    return tuple(inverse)
 
 
 def stirling2_row(n: int) -> tuple[int, ...]:

@@ -6,10 +6,9 @@ are binomial convolutions and reciprocals are computed by the standard
 triangular solve. Mixed-order arithmetic is an error rather than a
 silent truncation, so every pipeline fixes one order up front.
 
-Powers make only the products their result needs: f ** k costs
-popcount(k) - 1 general products and bit_length(k) - 1 squarings, and
-a squaring sums each symmetric pair C(n,s) a_s a_{n-s} once, which is
-about half the terms of a general product.
+f ** k is k products, the plain reference the tests hold
+`counts.two_minus_exp_power` to. A series with integer coefficients and
+a_0 = 1 is inverted in ints by `combinat.unit_reciprocal`.
 """
 
 from __future__ import annotations
@@ -106,48 +105,13 @@ class Egf(FrozenRecord):
             return self * other
         return NotImplemented
 
-    def _square(self) -> "Egf":
-        """self * self, adding each symmetric pair of the convolution once.
-
-        Coefficient n is 2 * sum_{s < n/2} C(n,s) a_s a_{n-s}, plus
-        C(n, n/2) a_{n/2}^2 when n is even; exact because the arithmetic
-        is exact and commutative.
-        """
-        a = self.coeffs
-        sq = []
-        for n in range(self.order + 1):
-            acc = 2 * sum(
-                binomial(n, s) * a[s] * a[n - s] for s in range((n + 1) // 2)
-            )
-            if n % 2 == 0:
-                acc += binomial(n, n // 2) * a[n // 2] ** 2
-            sq.append(acc)
-        return Egf(self.order, tuple(sq))
-
     def __pow__(self, k: int) -> "Egf":
-        """self ** k by binary powering, making only the products it reads.
-
-        The lowest set bit of k seeds the result, so no product by
-        one(order) is made, and the base is squared only while a higher
-        bit remains: popcount(k) - 1 general products and
-        bit_length(k) - 1 squarings. k == 0 gives one(order) and
-        k == 1 gives self.
-        """
+        """self ** k as k products, from one(order)."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a non-negative int, got {k!r}")
-        if k == 0:
-            return one(self.order)
-        base = self
-        while not k & 1:
-            base = base._square()
-            k >>= 1
-        result = base
-        k >>= 1
-        while k:
-            base = base._square()
-            if k & 1:
-                result = result * base
-            k >>= 1
+        result = one(self.order)
+        for _ in range(k):
+            result = result * self
         return result
 
     def reciprocal(self) -> "Egf":

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,10 +7,10 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbpa import bernoulli, counts
+from rbpa import bernoulli, cli, combinat, counts
 from rbpa.combinat import binomial, factorial, stirling2
 from rbpa.counts import p_egf
-from rbpa.egf import exp_series, one
+from rbpa.egf import Egf, exp_series, one
 from rbpa.bernoulli import (
     MuTable,
     as_multi_index,
@@ -466,3 +467,34 @@ def test_b_and_u_routes_refuse_bad_arguments(route, args, message):
     with pytest.raises(ValueError) as exc:
         route(*args)
     assert str(exc.value) == message
+
+
+
+def test_integer_routes_build_no_series(monkeypatch, capsys):
+    # the reciprocal rows, the z power rows and `egf --reciprocal` are
+    # integer products and unit reciprocals; only the p row under the
+    # dump is an Egf pipeline, so it is built before the patch
+    for module in (combinat, counts, bernoulli):
+        module.clear_caches()
+    p_row = p_egf(2, 3, 20).values
+    inverse = [int(q) for q in Egf.from_coeffs(p_row).reciprocal().coeffs]
+
+    def refuse(*args):
+        raise AssertionError("an integer route did Egf arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__sub__", "__add__", "reciprocal"):
+        monkeypatch.setattr(Egf, name, refuse)
+    for r in range(5):
+        for n in range(31):
+            assert reciprocal_coefficient(r, n) == (
+                (-1) ** n * (2 * r ** n - (r - 1) ** n)
+            )
+    for idx in [(0,), (2,), (1, 3), (2, 0, 1)]:
+        values = tuple(multi_poly_bernoulli(idx, n) for n in range(13))
+        assert multi_poly_bernoulli_li_sequence(idx, 12) == values
+        assert [multi_poly_bernoulli_li_oracle(idx, n) for n in range(8)] == (
+            list(values[:8])
+        )
+    assert cli.main(["egf", "--r", "2", "--j", "3", "--order", "20",
+                     "--reciprocal"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == inverse

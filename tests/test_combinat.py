@@ -3,13 +3,14 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rbpa import combinat
 from rbpa.combinat import (
     RowCache, binomial, binomial_convolution, factorial, int_pow, power_sums,
-    stirling2, stirling2_row,
+    stirling2, stirling2_row, unit_reciprocal,
 )
+from rbpa.egf import Egf
 
 
 def test_binomial_small_values():
@@ -61,6 +62,27 @@ def test_binomial_convolution_edges():
     assert binomial_convolution(6, lambda s: (-1) ** s, lambda s: 1) == 0
     assert binomial_convolution(6, lambda s: 1, lambda s: 1) == 64
     assert binomial_convolution(6, lambda s: 1, lambda s: 1, start=1) == 63
+
+
+unit_rows = st.integers(0, 40).flatmap(
+    lambda order: st.lists(
+        st.integers(-10**6, 10**6), min_size=order, max_size=order
+    ).map(lambda tail: (1, *tail))
+)
+
+
+@given(unit_rows)
+@example((1,))
+def test_unit_reciprocal_equals_the_series_reciprocal(row):
+    inverse = unit_reciprocal(row)
+    assert all(type(q) is int for q in inverse)
+    assert inverse == Egf.from_coeffs(row).reciprocal().coeffs
+
+
+@pytest.mark.parametrize("row", [(), (0, 1), (2, 1, 1), (-1,), [3]])
+def test_unit_reciprocal_refuses_a_row_without_unit_head(row):
+    with pytest.raises(ValueError, match="a_0 = 1"):
+        unit_reciprocal(row)
 
 
 def test_stirling2_rows():

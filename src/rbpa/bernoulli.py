@@ -31,12 +31,12 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from typing import Sequence
 
 from .combinat import (
-    RowCache, binomial, binomial_convolution, factorial, int_pow, power_sums,
-    stirling2, stirling2_row, unit_reciprocal,
+    RowCache, binomial, binomial_convolution, factorial, int_pow, lcm_row,
+    power_sums, stirling2, stirling2_row, unit_reciprocal,
 )
 from .record import FrozenRecord
 
@@ -154,27 +154,29 @@ def poly_bernoulli(k: int, n: int) -> Fraction:
 
     Stirling-reduced finite form sum_s (-1)^{n+s} s! {n brace s} / (s+1)^k;
     integral for k <= 0. Terms are added as ints: for k > 0 each is
-    scaled to the common denominator lcm(1..n+1)^k, and one Fraction
-    is built from the total. Cached: the convolution identities ask
-    for the same few values again and again. The cache is typed, so a
-    float equal to an int never hits the int's entry.
+    scaled to the common denominator lcm(1..n+1)^k, read from
+    `combinat.lcm_row`, and one Fraction is built from the total. The
+    signed factorials are nested by Horner's rule from s = n down,
+    a_0 - 1(a_1 - 2(a_2 - ...)), so no factorial is formed. Cached:
+    the convolution identities ask for the same few values again and
+    again. The cache is typed, so a float equal to an int never hits
+    the int's entry.
     """
     k, n = operator.index(k), operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if k > 0:
-        # term s is weight_s / (s+1)^k = weight_s (den/(s+1))^k / den^k
-        den = math.lcm(*range(1, n + 2))
-        bases = [den // (s + 1) for s in range(n + 1)]
-    else:
-        den, bases = 1, range(1, n + 2)
-    exp = abs(k)
     row = stirling2_row(n)
-    total, weight = 0, (-1) ** n  # (-1)^{n+s} s! at s = 0
-    for s in range(n + 1):
-        total += weight * row[s] * int_pow(bases[s], exp)
-        weight *= -(s + 1)
-    return Fraction(total, int_pow(den, exp))
+    total = 0
+    if k > 0:
+        # term s is weight_s / (s+1)^k = weight_s (den^k / (s+1)^k) / den^k
+        den = lcm_row(n + 1)[n + 1] ** k
+        for s in range(n, -1, -1):
+            total = row[s] * (den // (s + 1) ** k) - (s + 1) * total
+    else:
+        den = 1
+        for s in range(n, -1, -1):
+            total = row[s] * (s + 1) ** -k - (s + 1) * total
+    return Fraction(-total if n & 1 else total, den)
 
 
 def poly_bernoulli_double_sum(k: int, n: int) -> Fraction:
@@ -294,15 +296,24 @@ def _chain_power_rows(indices: tuple, t_max: int) -> tuple[int, ...]:
     indices are the actual signed upper indices. Entry t of the row is
     T_b(t) lcm(1..t)^K, K the sum of the positive indices, an int
     because every s_i <= t divides lcm(1..t). With no positive index
-    K is 0 and the row is T_b itself. Built depth by depth with running
-    prefix sums; a prefix sum moves from scale lcm(1..t-1) to lcm(1..t)
-    by one multiplication where t is a prime power, so entry t never
-    depends on t_max and a shorter row is a slice of a longer one.
+    K is 0 and the row is T_b itself. Built depth by depth with prefix
+    sums. With no positive index each depth is one C-level pass: the
+    `accumulate` prefix sums times the powers t^{-k}. Otherwise a
+    running prefix sum moves from scale lcm(1..t-1) to lcm(1..t) by
+    one multiplication where t is a prime power. Either way entry t
+    never depends on t_max, so a shorter row is a slice of a longer one.
     """
-    lcms = [1] * (t_max + 1)  # lcm(1..t), read only for a positive index
-    if max(indices) > 0:
-        for t in range(2, t_max + 1):
-            lcms[t] = math.lcm(lcms[t - 1], t)
+    if max(indices) <= 0:
+        # depth 1 is t^{-k_1} from t = 1; each deeper entry t is t^{-k}
+        # times the sum of the row below up to t - 1
+        chain = (0, *map(pow, range(1, t_max + 1), repeat(-indices[0])))
+        for k in indices[1:]:
+            chain = (0, *map(
+                operator.mul, map(pow, range(1, t_max + 1), repeat(-k)),
+                accumulate(chain),
+            ))
+        return chain
+    lcms = lcm_row(t_max)
 
     def factor(t: int, k: int) -> int:  # t^{-k} lcm(1..t)^{max(k, 0)}
         if k > 0:
@@ -350,24 +361,44 @@ def u_stirling_sum(indices: Sequence[int], n: int) -> Fraction:
     b = len(idx)
     chain = _chain_rows.row(idx, n + b, _chain_power_rows, idx)
     exponent = sum(k for k in idx if k > 0)
+    if not exponent:
+        return Fraction(_u_sum(chain, b, n))
+    lcms = lcm_row(n + b)
     row = stirling2_row(n + 1)
     # the two signs merge: (-1)^{n+1} (-1)^{t-b+1} (t-b)! runs from (-1)^n
     total, weight = 0, (-1) ** n
-    if not exponent:
-        for m in range(n + 1):  # m = t - b
-            total += chain[b + m] * weight * row[m + 1]
-            weight *= -(m + 1)
-        return Fraction(total)
-    den = math.lcm(*range(1, b + 1))  # lcm(1..t) at t = b
     for m in range(n + 1):
         t = b + m
-        step = t // math.gcd(den, t)  # lcm(1..t) / lcm(1..t-1)
-        if step > 1:
-            den *= step
-            total *= int_pow(step, exponent)
+        if lcms[t] != lcms[t - 1]:
+            total *= int_pow(lcms[t] // lcms[t - 1], exponent)
         total += chain[t] * (weight * row[m + 1])
         weight *= -(m + 1)
-    return Fraction(total, int_pow(den, exponent))
+    return Fraction(total, int_pow(lcms[n + b], exponent))
+
+
+def _u_sum(chain, b: int, n: int) -> int:
+    """(-1)^{n+1} sum_{t=b}^{n+b} chain[t] (-1)^{t-b+1} (t-b)! {n+1 brace t-b+1}.
+
+    The two signs merge into (-1)^{n+m} m!, m = t - b, and the signed
+    factorials are nested by Horner's rule from m = n down, as in
+    poly_bernoulli.
+    """
+    row = stirling2_row(n + 1)
+    total = 0
+    for m in range(n, -1, -1):
+        total = chain[b + m] * row[m + 1] - (m + 1) * total
+    return -total if n & 1 else total
+
+
+def _u_values(idx: MultiIndex, n_max: int) -> list[int]:
+    """U_0..U_{n_max} at upper index -idx, on the u_stirling_sum route.
+
+    One chain row, the one u_number reads, serves every n.
+    """
+    upper = tuple(-e for e in idx)
+    b = len(upper)
+    chain = _chain_rows.row(upper, n_max + b, _chain_power_rows, upper)
+    return [_u_sum(chain, b, n) for n in range(n_max + 1)]
 
 
 def as_int(value: Fraction) -> int:
@@ -393,17 +424,18 @@ def u_via_shift(idx: Sequence[int], n: int) -> int:
 
     Multiplying a generating function by e^{-m} turns coefficients B_s
     into sum_s C(n,s)(-1)^{n-s} B_s. B_0..B_n come from one read of the
-    mu weights, by the same power sum as multi_poly_bernoulli.
+    mu weights, by the same power sum as multi_poly_bernoulli; the
+    row C(n,0..n) is dotted with them, and the terms with n - s even
+    and odd are summed apart, by slices.
     """
     idx = as_multi_index(idx)
     n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = 0
-    for s, value in enumerate(_b_values(idx, 0, n)):
-        term = binomial(n, s) * value
-        total += -term if (n - s) & 1 else term
-    return total
+    terms = list(map(
+        operator.mul, map(math.comb, repeat(n), range(n + 1)), _b_values(idx, 0, n)
+    ))
+    return sum(terms[n & 1::2]) - sum(terms[1 - (n & 1)::2])
 
 
 def u_from_mu(idx: Sequence[int], n: int) -> int:

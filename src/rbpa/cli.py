@@ -9,8 +9,11 @@ and tabulate it in one loop; where the output needs integers (bfile,
 cycle) that loop refuses the family at its first proper fraction,
 before any later value is computed.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage
-errors.
+Exit codes: 0 on success, 1 when a verification fails or rbpa itself
+fails, 2 on usage errors. A usage error is raised as `UsageError` by the
+argument checks here, as `identities.BindingError` by a binding an
+identity refuses, or as `oracle.SizeLimitError`; any other exception is
+a fault inside rbpa and exits 1 with one `rbpa:` line naming it.
 """
 
 from __future__ import annotations
@@ -147,6 +150,8 @@ def _family(args, n_max: int):
     if family == "p":
         if args.r is None or args.j is None:
             raise UsageError("family p needs --r and --j")
+        if args.r < 0 or args.j < 0:
+            raise UsageError("r, j, n_max must be >= 0")
         _check_cap("--j", args.j, J_CLI_MAX)
         _check_cap("--r", args.r, R_CLI_MAX)
         row = counts.p_egf(args.r, args.j, n_max).values
@@ -302,7 +307,7 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"unknown identity {args.identity!r}; see `rbpa verify --list`"
         ) from None
-    except ValueError as exc:
+    except identities.BindingError as exc:
         raise UsageError(str(exc)) from None
     sys.stdout.write(identities.reports_to_json(reports))
     sys.stdout.write("\n")
@@ -446,9 +451,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(_glue_index(argv))
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:  # oracle.SizeLimitError included
+    except (UsageError, oracle.SizeLimitError) as exc:
         print(f"rbpa: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault inside rbpa, not in the arguments
+        print(f"rbpa: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,9 +3,12 @@
 Everything here returns plain Python ints. No floats anywhere; callers
 that need rationals wrap these in fractions.Fraction themselves.
 `RowCache` keeps every row table of the package: the Stirling rows
-here, the p and recurrence rows in `counts`, the chain and reciprocal
-rows in `bernoulli`. Exponential series with integer coefficients are
-multiplied by `binomial_convolution` and inverted by `unit_reciprocal`.
+and the one lcm(1..t) row here, the p and recurrence rows in `counts`,
+the chain and reciprocal rows in `bernoulli`. The Stirling row, the
+lcm row and `power_sums` are each built in one C-level pass per row
+(`map`, `itertools.accumulate`, `zip`), not one Python step per entry.
+Exponential series with integer coefficients are multiplied by
+`binomial_convolution` and inverted by `unit_reciprocal`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import operator
 import threading
 from collections import namedtuple
+from itertools import accumulate, repeat
 
 CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
 
@@ -123,16 +127,19 @@ def stirling2_row(n: int) -> tuple[int, ...]:
 
 
 def _build_stirling_rows(n: int) -> tuple[int, ...]:
-    """Row n, storing each row built on the way from the highest stored one."""
+    """Row n, storing each row built on the way from the highest stored one.
+
+    Row m is k * row[m-1][k] + row[m-1][k-1] for k = 0..m, the row
+    below padded with a 0 at the end and shifted by a 0 at the start.
+    """
     m = n
     while m > 1 and not _stirling_rows.get(m - 1):
         m -= 1
     row = _stirling_rows.get(m - 1, (1,))  # row 0 is (1,)
     for m in range(max(m, 1), n + 1):
-        row = tuple(
-            (k * row[k] if k < m else 0) + (row[k - 1] if k >= 1 else 0)
-            for k in range(m + 1)
-        )
+        row = tuple(map(
+            operator.add, map(operator.mul, range(m + 1), row + (0,)), (0,) + row
+        ))
         _stirling_rows.put(m, row)
     return row
 
@@ -151,6 +158,28 @@ def stirling2(n: int, k: int) -> int:
     return stirling2_row(n)[k]
 
 
+def lcm_row(n: int) -> tuple[int, ...]:
+    """(lcm(1..0), lcm(1..1), ..., lcm(1..n), ...): at least n + 1 entries.
+
+    Entry t is lcm(1..t), the empty lcm(1..0) being 1. The one table of
+    these in the package: the positive-index B and U routes scale by
+    it. One row is kept, grown like every RowCache row, and built by
+    one `accumulate` of math.lcm.
+    """
+    if n < 0:
+        raise ValueError(f"lcm_row: n must be >= 0, got {n}")
+    return _lcm_rows.row(None, n, _build_lcm_row)
+
+
+def _build_lcm_row(n: int) -> tuple[int, ...]:
+    return tuple(accumulate(range(1, n + 1), math.lcm, initial=1))
+
+
+# the lcm(1..t) row under the one key None
+_lcm_rows = RowCache()
+lcm_row.cache_info = _lcm_rows.cache_info
+
+
 def int_pow(base: int, exp: int) -> int:
     """base ** exp for exp >= 0, with 0 ** 0 == 1."""
     if exp < 0:
@@ -161,16 +190,21 @@ def int_pow(base: int, exp: int) -> int:
 def power_sums(weights, bases, n_min: int, n_max: int) -> list[int]:
     """sum_i weights[i] * bases[i]^n for n = n_min..n_max, with 0^0 = 1.
 
-    Each term is taken once at n_min and then stepped by one
-    multiplication per n, so the list costs O(len(bases) * (n_max -
-    n_min)) integer operations.
+    Each term is taken once at n_min; past it, each base's column is
+    stepped by one `accumulate` of multiplications and the columns are
+    summed entry by entry. The list costs O(len(bases) * (n_max -
+    n_min)) integer operations. With no weights every value is 0.
     """
-    terms = [w * int_pow(base, n_min) for w, base in zip(weights, bases)]
-    values = [sum(terms)]
-    for _ in range(n_min, n_max):
-        terms = list(map(operator.mul, terms, bases))
-        values.append(sum(terms))
-    return values
+    if n_min < 0:
+        raise ValueError(f"power_sums: n_min must be >= 0, got {n_min}")
+    terms = list(map(operator.mul, weights, map(pow, bases, repeat(n_min))))
+    if n_max <= n_min:
+        return [sum(terms)]
+    columns = [
+        accumulate(repeat(base, n_max - n_min), operator.mul, initial=term)
+        for term, base in zip(terms, bases)
+    ]
+    return list(map(sum, zip(*columns))) or [0] * (n_max - n_min + 1)
 
 
 def factorial(n: int) -> int:
@@ -180,5 +214,6 @@ def factorial(n: int) -> int:
 
 
 def clear_caches() -> None:
-    """Empty the Stirling row cache, as at import."""
+    """Empty the Stirling and lcm row tables, as at import."""
     _stirling_rows.cache_clear()
+    _lcm_rows.cache_clear()

@@ -31,6 +31,10 @@ class UnknownIdentityError(KeyError):
     """Identity id not present in the registry."""
 
 
+class BindingError(ValueError):
+    """A binding an identity cannot be checked at: a usage error, not a fault."""
+
+
 PROFILES = {
     # ncap bounds n; icap bounds r, j and b; mcap bounds the length and the
     # entries of a multi-index; scap and ecap bound L1's base and exponent
@@ -222,7 +226,7 @@ def _cycle_window(n_max: int):
     # like last_digit_cycle_check: nine consecutive values from n = 1, so
     # the window is never empty and every residue mod 4 is compared
     if n_max < 9:
-        raise ValueError(
+        raise BindingError(
             f"n_max must be >= 9 so every residue mod 4 is compared, got {n_max}"
         )
     return range(1, n_max - 3)
@@ -458,7 +462,7 @@ def _eval_eq13(b, n):
             start=1,
         )
 
-    shift_u = conv(lambda s: bernoulli.u_number(_two_pads(b), s))
+    shift_u = conv(bernoulli._u_values(_two_pads(b), n).__getitem__)
     padded_u = conv(bernoulli._b_values(_two_pads(b + 1), 0, n).__getitem__)
     note = (
         f"with the shift-convention U the sum gives {shift_u}; reading U_s "
@@ -722,15 +726,15 @@ def bindings(
     overrides replaces whole domain lists, e.g. {"n": [0, 1, 2]}; a bare
     value is treated as a one-element list, and a multi-index list takes
     only tuples. A value below its range's low, or a domain that leaves
-    no binding to check, is a ValueError, never an empty (passing)
-    report.
+    no binding to check, is a BindingError (a ValueError), never an
+    empty (passing) report.
     """
     spec = REGISTRY.get(ident)
     domain = dict(spec.domain(profile))
     lows = getattr(spec.domain, "lows", {})
     for key, value in (overrides or {}).items():
         if key not in domain:
-            raise ValueError(
+            raise BindingError(
                 f"{ident} has no parameter {key!r}; knows {sorted(domain)}"
             )
         multi = isinstance(domain[key][0], tuple)
@@ -739,9 +743,9 @@ def bindings(
         else:
             domain[key] = [value]
         if multi and not all(isinstance(v, tuple) for v in domain[key]):
-            raise ValueError(f"{ident}: {key} takes multi-indices, not {value!r}")
+            raise BindingError(f"{ident}: {key} takes multi-indices, not {value!r}")
         if key in lows and any(v < lows[key] for v in domain[key]):
-            raise ValueError(
+            raise BindingError(
                 f"{ident}: {key} takes values from {lows[key]}, "
                 f"got {min(domain[key])}"
             )
@@ -752,7 +756,7 @@ def bindings(
         if spec.constraint is None or spec.constraint(**binding):
             found.append(binding)
     if not found:
-        raise ValueError(
+        raise BindingError(
             f"{ident}: no binding to check; the domain is empty or the "
             f"constraint rejects every binding"
         )

@@ -313,6 +313,22 @@ def test_sliced_rows_match_fresh_builds_in_any_order():
             assert u_stirling_sum(indices, n) == fresh
 
 
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_non_positive_chain_rows_match_a_brute_force_sum(b):
+    # T_b(t) = sum over 0 < s_1 < ... < s_b = t of prod s_i^{-k_i}, listed
+    # tuple by tuple, for every index of length b with entries -3..0
+    t_max = 12
+    for indices in product(range(-3, 1), repeat=b):
+        brute = tuple(
+            sum(
+                math.prod(s ** -k for s, k in zip(chain + (t,), indices))
+                for chain in combinations(range(1, t), b - 1)
+            ) if t else 0
+            for t in range(t_max + 1)
+        )
+        assert bernoulli._chain_power_rows(indices, t_max) == brute
+
+
 def test_each_row_table_keeps_one_row_per_key():
     # shuffled sweeps over several keys: each table keeps only the
     # longest row per key, and every value read from it equals a build

@@ -2,14 +2,14 @@ import json
 
 import pytest
 
-from rbpa import bernoulli, cli, combinat, counts, oracle
+from rbpa import bernoulli, cli, combinat, counts, identities, oracle
 from rbpa.bernoulli import multi_poly_bernoulli_li_sequence, u_number
 from rbpa.cli import (
     J_CLI_MAX, R_CLI_MAX, SEQ_CLI_MAX, SET_BINDINGS_MAX, SET_MAX, UsageError,
     _check_overrides, _glue_index, main,
 )
 from rbpa.counts import p_egf
-from rbpa.egf import exp_series, one
+from rbpa.egf import NotAnIntegerError, OrderMismatchError, exp_series, one
 from rbpa.identities import REGISTRY, IdentitySpec
 
 
@@ -445,6 +445,8 @@ def test_a_rational_family_is_refused_at_its_first_proper_fraction(
     ("egf --r 1 --j 1 --order -1", "rbpa: --order must be >= 0\n"),
     ("egf --r -1 --j 1 --order 3", "rbpa: --r and --j must be >= 0\n"),
     ("oracle --r 1 --j -1 --n-max 3", "rbpa: --r and --j must be >= 0\n"),
+    ("seq --family p --r -1 --j 2 --n-max 3", "rbpa: r, j, n_max must be >= 0\n"),
+    ("cycle --family p --r 1 --j -2 --n-max 12", "rbpa: r, j, n_max must be >= 0\n"),
 ])
 def test_missing_or_negative_arguments_are_usage_errors(
         capsys, no_routes, argv, message):
@@ -578,3 +580,51 @@ def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
     assert code == 1
     assert err == ""
     assert [r["pass"] for r in json.loads(out)] == [False]
+
+
+# Exit codes by where an exception comes from: argument and binding
+# validation exit 2, a fault inside rbpa exits 1. Each case patches a
+# route the command reaches to raise, and the message is one line.
+
+
+def _raising(exc):
+    def route(*args, **kwargs):
+        raise exc
+
+    return route
+
+
+@pytest.mark.parametrize("argv, module, name, exc, code, message", [
+    # a usage error raised by the argument checks
+    ("seq --family U --index 1,x --n-max 3", bernoulli, "u_stirling_sum",
+     AssertionError("a route ran"), 2, "rbpa: bad index '1,x'; expected e.g. -2,0,0\n"),
+    # identities.bindings refuses an override
+    ("verify T3 --set n=-1", identities, "run_identity",
+     AssertionError("a route ran"), 2, "rbpa: T3: n takes values from 0, got -1\n"),
+    # a binding an evaluator refuses
+    ("verify CYCLE_U --set n_max=3", bernoulli, "u_number",
+     AssertionError("a route ran"), 2,
+     "rbpa: n_max must be >= 9 so every residue mod 4 is compared, got 3\n"),
+    # the oracle refuses a size
+    ("verify INTERP --set b=0 --set n=5", oracle, "enumerate_rbpa_with_empty",
+     oracle.SizeLimitError("n = 5 exceeds enumeration limit 9"), 2,
+     "rbpa: n = 5 exceeds enumeration limit 9\n"),
+    # faults inside rbpa: ValueErrors that say nothing about the arguments
+    ("seq --family p --r 2 --j 1 --n-max 3", counts, "p_egf",
+     NotAnIntegerError("coefficient 2 is 1/2, not an integer"), 1,
+     "rbpa: NotAnIntegerError: coefficient 2 is 1/2, not an integer\n"),
+    ("egf --r 2 --j 1 --order 3", counts, "p_egf",
+     OrderMismatchError("orders 3 and 4 differ"), 1,
+     "rbpa: OrderMismatchError: orders 3 and 4 differ\n"),
+    ("seq --family B --index -2,-1 --n-max 3", bernoulli, "multi_poly_bernoulli",
+     ValueError("mu_0 must be 0 for (2, 1)"), 1,
+     "rbpa: ValueError: mu_0 must be 0 for (2, 1)\n"),
+    ("verify T3B --set n=2", bernoulli, "u_via_shift",
+     ArithmeticError("expected an integral value, got 1/2"), 1,
+     "rbpa: ArithmeticError: expected an integral value, got 1/2\n"),
+])
+def test_exit_code_tells_a_usage_error_from_a_fault(
+        capsys, monkeypatch, argv, module, name, exc, code, message):
+    monkeypatch.setattr(module, name, _raising(exc))
+    got, out, err = run(capsys, *argv.split())
+    assert (got, out, err) == (code, "", message)

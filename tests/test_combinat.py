@@ -7,8 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from rbpa import combinat
 from rbpa.combinat import (
-    RowCache, binomial, binomial_convolution, factorial, int_pow, power_sums,
-    stirling2, stirling2_row, unit_reciprocal,
+    RowCache, binomial, binomial_convolution, factorial, int_pow, lcm_row,
+    power_sums, stirling2, stirling2_row, unit_reciprocal,
 )
 from rbpa.egf import Egf
 
@@ -90,6 +90,36 @@ def test_stirling2_rows():
     assert stirling2_row(1) == (0, 1)
     assert stirling2_row(4) == (0, 1, 7, 6, 1)
     assert stirling2_row(5) == (0, 1, 15, 25, 10, 1)
+
+
+def test_stirling_rows_match_the_inclusion_exclusion_sum():
+    # k! {n brace k} = sum_i (-1)^i C(k,i) (k-i)^n, from a cold table
+    # swept upwards, so every row is built from the one below it
+    combinat.clear_caches()
+    for n in range(61):
+        assert stirling2_row(n) == tuple(
+            sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
+            // math.factorial(k)
+            for k in range(n + 1)
+        )
+
+
+def test_lcm_row_matches_math_lcm():
+    combinat.clear_caches()
+    for n in (0, 1, 7, 60, 13):  # cold, then grown, then read from a longer row
+        row = lcm_row(n)
+        assert len(row) > n
+        assert all(row[t] == math.lcm(*range(1, t + 1)) for t in range(len(row)))
+    with pytest.raises(ValueError):
+        lcm_row(-1)
+
+
+def test_clear_caches_empties_the_lcm_table():
+    lcm_row(30)
+    assert lcm_row.cache_info().currsize == 1
+    combinat.clear_caches()
+    assert lcm_row.cache_info() == (0, 0, 0)
+    assert combinat._lcm_rows.get(None) == ()
 
 
 def test_cold_stirling_row_needs_no_deep_recursion():
@@ -207,6 +237,15 @@ def test_power_sums_match_a_literal_sum(terms, n_min, extra):
         sum(w * base ** n for w, base in terms)
         for n in range(n_min, n_min + extra + 1)
     ]
+
+
+def test_power_sums_edges():
+    # no weights: every value is 0; base 0 takes 0^0 = 1 only at n = 0
+    assert power_sums([], [], 0, 4) == [0] * 5
+    assert power_sums((), (), 3, 3) == [0]
+    assert power_sums([5], [0], 0, 3) == [5, 0, 0, 0]
+    assert power_sums([5], [0], 2, 4) == [0, 0, 0]
+    assert power_sums([2, -1, 4], [0, 1, 3], 0, 3) == [5, 11, 35, 107]
 
 
 def test_factorial():

@@ -161,6 +161,31 @@ def test_a_b_factor_is_read_as_one_row(monkeypatch, ident, binding, calls):
     assert len(seen) == calls
 
 
+def test_eq13_reads_u_as_one_row(monkeypatch):
+    # one check at n = 15 reads U_0..U_15 of the shift convention as one
+    # row on the u_stirling_sum route, not one u_number call per term
+    expected = run_identity("EQ13", {"b": 1, "n": 15})
+    real = bernoulli.u_number
+    seen = []
+
+    def counted(idx, n):
+        seen.append((idx, n))
+        return real(idx, n)
+
+    monkeypatch.setattr(bernoulli, "u_number", counted)
+    assert run_identity("EQ13", {"b": 1, "n": 15}) == expected
+    assert seen == []
+
+
+def test_the_u_row_equals_the_binomial_shift():
+    bernoulli.clear_caches()
+    for b in range(9):
+        idx = identities._two_pads(b)
+        row = bernoulli._u_values(idx, 60)
+        assert len(row) == 61
+        assert row == [bernoulli.u_via_shift(idx, n) for n in range(61)]
+
+
 def test_interp_note_reports_the_bar_count_discrepancy():
     report = run_identity("INTERP", overrides={"b": [0], "n": [2]})[0]
     assert report.passed

@@ -452,33 +452,29 @@ def u_from_mu(idx: Sequence[int], n: int) -> int:
     return _b_values(idx, n, n, len(idx) - 1)[0]
 
 
-def corollary_convolution(j: int, b: int, n: int) -> tuple[int, Fraction]:
-    """Both sides of the split of the b-position index (j, 0, ..., 0).
+def corollary_convolution(j: int, b: int, n: int) -> int:
+    """The convolution side of the split of the b-position index (j, 0, ..., 0).
 
-    Returns multi_poly_bernoulli((j, 0^{b-1}), n) and the convolution
-    sum_s C(n,s) B^{(0^{b-1})}_s B^{(-j)}_{n-s}. The all-zero factor
-    B_0..B_n is one `_b_values` row, (b-1)^s; at b = 1 that is 0^s,
-    the empty-index factor [s = 0]. The convolution adds the integral
-    poly_bernoulli values as ints, each taken by `as_int`, so a
-    non-integral value raises ArithmeticError; it is returned as a
-    Fraction.
+    sum_s C(n,s) B^{(0^{b-1})}_s B^{(-j)}_{n-s}. The all-zero factor is
+    (b-1)^s, one `power_sums` row with 0^0 = 1: at b = 1 that is the
+    empty-index factor [s = 0]. The integral poly_bernoulli values add
+    as ints, each taken by `as_int`, so a non-integral value raises
+    ArithmeticError.
     """
     if b < 1:
         raise ValueError("b must be >= 1")
     if j < 0 or n < 0:
         raise ValueError("j and n must be >= 0")
-    lhs = multi_poly_bernoulli((j,) + (0,) * (b - 1), n)
-    zeros = _b_values((0,) * (b - 1), 0, n)
-    rhs = binomial_convolution(
+    zeros = power_sums((1,), (b - 1,), 0, n)
+    return binomial_convolution(
         n, zeros.__getitem__, lambda m: as_int(poly_bernoulli(-j, m))
     )
-    return lhs, Fraction(rhs)
 
 
 def corollary_convolution_check(j: int, b: int, n: int) -> bool:
     """Does the b-position index (j, 0, ..., 0) split as a convolution?"""
-    lhs, rhs = corollary_convolution(j, b, n)
-    return lhs == rhs
+    rhs = corollary_convolution(j, b, n)
+    return multi_poly_bernoulli((j,) + (0,) * (b - 1), n) == rhs
 
 
 def _reciprocal_row(r: int, order: int) -> tuple[int, ...]:

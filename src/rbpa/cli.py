@@ -13,13 +13,16 @@ Exit codes: 0 on success, 1 when a verification fails or rbpa itself
 fails, 2 on usage errors. A usage error is raised as `UsageError` by the
 argument checks here, as `identities.BindingError` by a binding an
 identity refuses, or as `oracle.SizeLimitError`; any other exception is
-a fault inside rbpa and exits 1 with one `rbpa:` line naming it.
+a fault inside rbpa and exits 1 with one `rbpa:` line naming it. A
+closed stdout (`rbpa seq ... | head -1`) exits 1 as Python's own tools
+do, quietly: it is neither a usage error nor a fault.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -451,6 +454,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(_glue_index(argv))
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at
+        # devnull so that flush cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (UsageError, oracle.SizeLimitError) as exc:
         print(f"rbpa: {exc}", file=sys.stderr)
         return 2

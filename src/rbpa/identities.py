@@ -1,5 +1,15 @@
 """Registry of every claimed identity, each wired to an executable
-check with declared, distinct computation routes for its two sides.
+check that sets two computation routes against each other.
+
+Each entry holds its two sides as callables, lhs(**binding) and
+rhs(**binding), one parameter per domain key; `lhs_method` and
+`rhs_method` name their routes in the coverage table. An optional
+note(lhs, rhs, **binding) explains the result. A side whose route makes
+the note's evidence (a tail certificate, vanished inner sums, per-pair
+counts) returns it with its value as a `Witnessed`, so no note computes
+a side twice. `IdentitySpec.evaluate` calls the sides, then the note,
+once per check. The test suite runs each side alone and pins which
+entries' sides reach a shared rbpa function.
 
 A handful of entries run in diagnostic mode: their source statement is
 known to hold only under a corrected reading, so a mismatch is flagged
@@ -100,9 +110,20 @@ class CheckReport(FrozenRecord):
         }
 
 
+class Witnessed(FrozenRecord):
+    """A side's value with the evidence its route made for the note."""
+
+    _fields = ("value", "evidence")
+
+    def __init__(self, value: object, evidence: object) -> None:
+        fields = self.__dict__
+        fields["value"] = value
+        fields["evidence"] = evidence
+
+
 class IdentitySpec(FrozenRecord):
     _fields = ("ident", "anchor", "lhs_method", "rhs_method", "domain",
-               "evaluate", "diagnostic", "constraint")
+               "lhs", "rhs", "note", "diagnostic", "constraint")
 
     def __init__(
         self,
@@ -111,7 +132,9 @@ class IdentitySpec(FrozenRecord):
         lhs_method: str,
         rhs_method: str,
         domain: Callable[[str], dict],
-        evaluate: Callable[..., tuple],  # binding by keyword -> (lhs, rhs, note)
+        lhs: Callable[..., object],  # binding by keyword -> left side
+        rhs: Callable[..., object],  # binding by keyword -> right side
+        note: Optional[Callable[..., Optional[str]]] = None,  # (lhs, rhs, **binding)
         diagnostic: bool = False,
         constraint: Optional[Callable[..., bool]] = None,
     ) -> None:
@@ -121,9 +144,28 @@ class IdentitySpec(FrozenRecord):
         fields["lhs_method"] = lhs_method
         fields["rhs_method"] = rhs_method
         fields["domain"] = domain
-        fields["evaluate"] = evaluate
+        fields["lhs"] = lhs
+        fields["rhs"] = rhs
+        fields["note"] = note
         fields["diagnostic"] = diagnostic
         fields["constraint"] = constraint
+
+    def evaluate(self, **binding) -> tuple:
+        """(lhs, rhs, note) at one binding: each side once, then the note.
+
+        The note reads each side as it returned, a `Witnessed` included;
+        the report gets the values.
+        """
+        lhs = self.lhs(**binding)
+        rhs = self.rhs(**binding)
+        if self.note is None:
+            return lhs, rhs, None
+        note = self.note(lhs, rhs, **binding)
+        if type(lhs) is Witnessed:
+            lhs = lhs.value
+        if type(rhs) is Witnessed:
+            rhs = rhs.value
+        return lhs, rhs, note
 
 
 class Registry:
@@ -210,16 +252,10 @@ def _two_pads(b: int) -> tuple:
     return (2,) + (0,) * b
 
 
-# evaluators; each takes its binding by keyword, one parameter per
-# domain key, and returns (lhs, rhs, note)
-
-
-def _eval_t3(r, j, n):
-    return p_recurrence(r, j, n), counts.p_binomial_shift(r, j, n), None
-
-
-def _eval_l1(s, n):
-    return pow(s, n + 4, 10), int_pow(s, n) % 10, None
+# helpers for the sides and notes below. A side takes its binding by
+# keyword, one parameter per domain key, and looks each route up when it
+# runs, never storing the function, so a patched or traced route is the
+# one that runs
 
 
 def _cycle_window(n_max: int):
@@ -232,21 +268,24 @@ def _cycle_window(n_max: int):
     return range(1, n_max - 3)
 
 
-def _digit_cycle(window: range, here, ahead):
-    """Last digits of here(n) and of ahead(n + 4) for n in the window."""
-    lhs = tuple(here(n) % 10 for n in window)
-    rhs = tuple(ahead(n + 4) % 10 for n in window)
-    return lhs, rhs, f"digits at n and n+4 compared for n = 1..{window[-1]}"
+def _digits(window: range, value, ahead: int = 0) -> tuple:
+    """Last digits of value(n + ahead) for n in the window."""
+    return tuple(value(n + ahead) % 10 for n in window)
 
 
-def _eval_cycle_p(r, j, n_max):
-    window = _cycle_window(n_max)
-    row = p_egf(r, j, n_max).values
-    return _digit_cycle(window, row.__getitem__, partial(p_recurrence, r, j))
+def _cycle_note(lhs, rhs, n_max, **_) -> str:
+    return f"digits at n and n+4 compared for n = 1..{n_max - 4}"
 
 
-def _eval_dsum_l(r, n):
-    lhs = p_egf(r, 1, n)[n]
+def _alternating_conv(n: int, values, right) -> int:
+    """sum_{s=1}^{n} C(n,s) (-1)^{s+1} values[s] right(n-s)."""
+    return binomial_convolution(
+        n, lambda s: (-1) ** (s + 1) * values[s], right, start=1
+    )
+
+
+def _power_double_sum(r: int, n: int) -> Witnessed:
+    # the value, with the inner sums for k = n+1..n+3, which must vanish
     powers = [int_pow(m + r, n) for m in range(n + 4)]  # (m+r)^n, m = k - s
 
     def inner(k: int) -> int:
@@ -254,235 +293,106 @@ def _eval_dsum_l(r, n):
             binomial(k, s) * (-1) ** s * powers[k - s] for s in range(k + 1)
         )
 
-    rhs = sum(inner(k) for k in range(n + 1))
-    leftovers = [inner(k) for k in (n + 1, n + 2, n + 3)]
-    note = f"outer sum cut at k = n; inner sums beyond vanish: {leftovers == [0, 0, 0]}"
-    return lhs, rhs, note
+    total = sum(inner(k) for k in range(n + 1))
+    return Witnessed(total, [inner(k) for k in (n + 1, n + 2, n + 3)])
 
 
-def _eval_dsum_t(r, j, n):
-    lhs = p_egf(r, j, n)[n]
-    rhs = counts.p_double_sum(r, j, n)
-    return lhs, rhs, "outer sum cut at k = n; k = n+1..n+3 rechecked to vanish"
+def _weighted_powers(r: int, n: int) -> Witnessed:
+    # p^r_1(n) = sum_{s>=0} (s+r)^n / 2^{s+1}: SER_L7 at r = 0, and at
+    # r = 2 SER_L8's 2 sum_{s>=2} s^n / 2^s, reindexed from s = 2
+    cert = _certify_truncation(r, 1, n)
+    return Witnessed(certified_round(lambda s: int_pow(s + r, n), cert), cert)
 
 
-def _eval_incl_excl(r, j, n):
-    lhs = p_egf(r, j - r, n)[n]
-    rhs = counts.p_inclusion_exclusion(r, j, n)
-    if r == 1:
-        note = "single-term case, the claim holds"
-    else:
-        note = (
-            "alternating sum counts structures where AT LEAST ONE of the "
-            "r marked free sections has at most one block; the left side "
-            "counts ALL marked sections restricted; equal only for r = 1"
-        )
-        if n <= 5 and j <= 3:
-            union = oracle.count_some_section_at_most_one_block(n, j, r)
-            note += f"; brute-forced union = {union}, matches sum: {union == rhs}"
-    return lhs, rhs, note
-
-
-def _truncation_note(cert) -> str:
+def _truncation_note(lhs, rhs, **_) -> str:
+    cert = rhs.evidence
     return f"truncated at S = {cert.truncation_index}, tail < {cert.tail_bound}"
 
 
-def _eval_ser_powers(r, n):
-    # p^r_1(n) = sum_{s>=0} (s+r)^n / 2^{s+1}: SER_L7 at r = 0, and at
-    # r = 2 SER_L8's 2 sum_{s>=2} s^n / 2^s, reindexed from s = 2
-    lhs = p_egf(r, 1, n)[n]
-    cert = _certify_truncation(r, 1, n)
-    rhs = certified_round(lambda s: int_pow(s + r, n), cert)
-    return lhs, rhs, _truncation_note(cert)
-
-
-def _eval_ser_t(r, j, n):
-    lhs = p_egf(r, j, n)[n]
-    value, cert = counts.p_series_certified(r, j, n)
-    return lhs, value, _truncation_note(cert)
-
-
-def _eval_rec_l10(n):
-    lhs = p_egf(0, 1, n)[n]
-    rhs = sum(binomial(n, s) * p_recurrence(0, 1, n - s) for s in range(1, n)) + 1
-    return lhs, rhs, None
-
-
-def _eval_rec_l11(n):
-    lhs = p_egf(2, 1, n + 1)[n + 1]
-    rhs = sum(
-        binomial(n + 1, s) * p_recurrence(2, 1, s) for s in range(n + 1)
-    ) + 2 ** (n + 1)
-    note = "holds as stated at every checked point" if lhs == rhs else None
-    return lhs, rhs, note
-
-
-def _eval_rec_t(r, j, n):
-    lhs = p_recurrence(r, j, n)
-    row = p_egf(r, j, n).values
-    rhs = p_egf(r, j - 1, n)[n] + sum(
-        binomial(n, s) * row[s] for s in range(n)
-    )
-    return lhs, rhs, None
-
-
-def _eval_eq5(r, j, n):
-    lhs = p_egf(r - 3, j - 1, n)[n]
-    row = p_egf(r, j, n).values
-
-    def signed_b(s: int) -> int:  # (-1)^s B^{-2}_s
-        b_s = bernoulli.as_int(bernoulli.poly_bernoulli(-2, s))
-        return -b_s if s & 1 else b_s
-
-    return lhs, binomial_convolution(n, signed_b, row.__getitem__), None
-
-
-def _eval_eq6(n):
-    lhs = p_egf(3, 1, n)[n]
-    # (-1)^{s+1} B^{-2}_s = -c_s, as B^{-2}_s = (-1)^s c_s, c_s the coefficient
-    rhs = binomial_convolution(
-        n,
-        lambda s: -bernoulli.reciprocal_coefficient(3, s),
-        partial(p_recurrence, 3, 1),
-        start=1,
-    )
-    return lhs, rhs, "B values read off the reciprocal series coefficients"
-
-
-def _eval_eq8(b, n):
-    lhs = p_egf(3 + b, 1, n)[n]
-    b_row = bernoulli._b_values(_two_pads(b), 0, n)  # B^{(-2,0^b)}_0..n
-    rhs = binomial_convolution(
-        n,
-        lambda s: (-1) ** (s + 1) * b_row[s],
-        partial(p_recurrence, 3 + b, 1),
-        start=1,
-    )
-    return lhs, rhs, None
-
-
-def _eval_eq8_rearranged(b, n):
-    lhs = bernoulli.multi_poly_bernoulli(_two_pads(b), n)
-    row = p_egf(3 + b, 1, n).values
-    w = partial(bernoulli.w_family, 3 + b)
-    printed = binomial_convolution(
-        n, row.__getitem__, lambda m: (-1) ** (m + 1) * w(m), start=1
-    )
-    corrected = binomial_convolution(
-        n, lambda s: (-1) ** (s + 1) * row[s], w, start=1
-    )
+def _incl_excl_note(lhs, rhs, r, j, n) -> str:
+    if r == 1:
+        return "single-term case, the claim holds"
     note = (
+        "alternating sum counts structures where AT LEAST ONE of the "
+        "r marked free sections has at most one block; the left side "
+        "counts ALL marked sections restricted; equal only for r = 1"
+    )
+    if n <= 5 and j <= 3:
+        union = oracle.count_some_section_at_most_one_block(n, j, r)
+        note += f"; brute-forced union = {union}, matches sum: {union == rhs}"
+    return note
+
+
+def _recurrence_step(r: int, j: int, n: int) -> int:
+    row = p_egf(r, j, n).values
+    return p_egf(r, j - 1, n)[n] + sum(binomial(n, s) * row[s] for s in range(n))
+
+
+def _signed_b2(s: int) -> int:  # (-1)^s B^{-2}_s
+    b_s = bernoulli.as_int(bernoulli.poly_bernoulli(-2, s))
+    return -b_s if s & 1 else b_s
+
+
+def _printed_sign(b: int, n: int) -> Witnessed:
+    # the printed convolution, with the p row the corrected sign reads
+    row = p_egf(3 + b, 1, n).values
+    printed = binomial_convolution(
+        n, row.__getitem__,
+        lambda m: (-1) ** (m + 1) * bernoulli.w_family(3 + b, m), start=1,
+    )
+    return Witnessed(printed, row)
+
+
+def _eq8_rearranged_note(lhs, rhs, b, n) -> str:
+    corrected = _alternating_conv(
+        n, rhs.evidence, partial(bernoulli.w_family, 3 + b)
+    )
+    return (
         f"printed sign (-1)^(n-s+1) agrees only for even n; "
         f"with (-1)^(s+1) the identity holds: {lhs == corrected}"
     )
-    return lhs, printed, note
 
 
-def _eval_eq9(b, r, j, n):
-    lhs = p_recurrence(r - (3 + b), j - 1, n)
-    row = p_egf(r, j, n).values
-    rhs = binomial_convolution(
-        n, row.__getitem__, lambda m: (-1) ** m * bernoulli.w_family(3 + b, m)
-    )
-    return lhs, rhs, None
-
-
-def _eval_cor(j, b, n):
-    lhs, rhs = bernoulli.corollary_convolution(j, b, n)
-    return lhs, bernoulli.as_int(rhs), None
-
-
-def _eval_cycle_b2(b, n_max):
-    return _digit_cycle(
-        _cycle_window(n_max),
-        partial(bernoulli.multi_poly_bernoulli, _two_pads(b)),
-        partial(bernoulli.w_family, 3 + b),
-    )
-
-
-def _eval_cycle_bmulti(idx, n_max):
-    window = _cycle_window(n_max)
-    seq = bernoulli.multi_poly_bernoulli_li_sequence(idx, n_max)
-    return _digit_cycle(
-        window, partial(bernoulli.multi_poly_bernoulli, idx), seq.__getitem__
-    )
-
-
-def _eval_cycle_u(idx, n_max):
-    return _digit_cycle(
-        _cycle_window(n_max), partial(bernoulli.u_number, idx), partial(bernoulli.u_from_mu, idx)
-    )
-
-
-def _eval_interp(b, n):
+def _section_pair_counts(b: int, n: int) -> Witnessed:
+    # the first pair's count, with every pair's
     bars = 3 + b
-    pairs = [
-        (i, jj) for i in range(bars + 1) for jj in range(i + 1, bars + 1)
-    ]
     per_pair = [
-        oracle.enumerate_rbpa_with_empty(n, bars, i, jj) for i, jj in pairs
+        oracle.enumerate_rbpa_with_empty(n, bars, i, jj)
+        for i in range(bars + 1) for jj in range(i + 1, bars + 1)
     ]
-    lhs = per_pair[0]
-    rhs = bernoulli.multi_poly_bernoulli(_two_pads(b), n)
+    return Witnessed(per_pair[0], per_pair)
+
+
+def _interp_note(lhs, rhs, b, n) -> str:
+    per_pair = lhs.evidence
     w_here = bernoulli.w_family(3 + b, n)
     w_up = bernoulli.w_family(4 + b, n)
-    note = (
-        f"all {len(pairs)} section pairs agree: {len(set(per_pair)) == 1}; "
+    return (
+        f"all {len(per_pair)} section pairs agree: {len(set(per_pair)) == 1}; "
         f"count equals 2(3+b)^n-(2+b)^n = {w_here}; a 2(4+b)^n-(3+b)^n "
         f"reading (= {w_up}) would need 4+b bars, one more than stated"
     )
-    return lhs, rhs, note
 
 
-def _eval_t3b(idx, n):
-    lhs = bernoulli.u_stirling_sum(tuple(-e for e in idx), n)
-    return bernoulli.as_int(lhs), bernoulli.u_via_shift(idx, n), None
-
-
-def _eval_urel(b, n):
-    lhs = bernoulli.u_number(_two_pads(b), n)
-    rhs = bernoulli.multi_poly_bernoulli(_two_pads(b + 1), n)
-    note = (
+def _urel_note(lhs, rhs, b, n) -> str:
+    return (
         f"left side follows the shift convention and equals "
         f"2(2+b)^n-(1+b)^n: {lhs == bernoulli.w_family(2 + b, n)}; the "
         f"claimed right side equals 2(4+b)^n-(3+b)^n: "
         f"{rhs == bernoulli.w_family(4 + b, n)}; the readings only meet at n = 0"
     )
-    return lhs, rhs, note
 
 
-def _eval_eq13(b, n):
-    lhs = p_egf(4 + b, 1, n)[n]
-
-    def conv(u_value) -> int:
-        return binomial_convolution(
-            n,
-            lambda s: (-1) ** (s + 1) * u_value(s),
-            partial(p_recurrence, 4 + b, 1),
-            start=1,
-        )
-
-    shift_u = conv(bernoulli._u_values(_two_pads(b), n).__getitem__)
-    padded_u = conv(bernoulli._b_values(_two_pads(b + 1), 0, n).__getitem__)
-    note = (
-        f"with the shift-convention U the sum gives {shift_u}; reading U_s "
+def _eq13_note(lhs, rhs, b, n) -> str:
+    padded_u = _alternating_conv(
+        n, bernoulli._b_values(_two_pads(b + 1), 0, n),
+        partial(p_recurrence, 4 + b, 1),
+    )
+    return (
+        f"with the shift-convention U the sum gives {rhs}; reading U_s "
         f"as the (b+1)-padded B value gives {padded_u}, matching: "
         f"{lhs == padded_u}"
     )
-    return lhs, shift_u, note
-
-
-def _eval_eq11b_sign(b, n):
-    lhs = bernoulli.multi_poly_bernoulli(_two_pads(b), n)
-    # coefficient n of (2 - e^m) e^{-(3+b)m}, a product of two EGFs
-    rhs = binomial_convolution(
-        n, lambda s: 2 * (s == 0) - 1, lambda m: int_pow(-(3 + b), m)
-    )
-    note = (
-        f"stated series carries coefficients (-1)^n times the values; "
-        f"absolute values agree: {abs(rhs) == lhs}"
-    )
-    return lhs, rhs, note
 
 
 def _build_registry(specs: Sequence[IdentitySpec]) -> Registry:
@@ -501,7 +411,8 @@ REGISTRY = _build_registry((
         "counts.p_recurrence",
         "counts.p_binomial_shift",
         _Domain({"r": (0, "icap", 0), "j": (0, "icap", 0), "n": (0, "ncap", 0)}),
-        _eval_t3,
+        lhs=lambda r, j, n: p_recurrence(r, j, n),
+        rhs=lambda r, j, n: counts.p_binomial_shift(r, j, n),
     ),
     IdentitySpec(
         "L1",
@@ -509,7 +420,8 @@ REGISTRY = _build_registry((
         "builtins.pow with modulus 10",
         "combinat.int_pow reduced mod 10",
         _Domain({"s": (0, "scap", 0), "n": (1, "ecap", 0)}),
-        _eval_l1,
+        lhs=lambda s, n: pow(s, n + 4, 10),
+        rhs=lambda s, n: int_pow(s, n) % 10,
     ),
     IdentitySpec(
         "CYCLE_P",
@@ -517,7 +429,11 @@ REGISTRY = _build_registry((
         "counts.p_egf digits",
         "counts.p_recurrence digits four steps on",
         _Domain({"r": (0, "icap", 0), "j": (0, "icap", 0), "n_max": _CYCLE}),
-        _eval_cycle_p,
+        lhs=lambda r, j, n_max: _digits(
+            _cycle_window(n_max), p_egf(r, j, n_max).values.__getitem__),
+        rhs=lambda r, j, n_max: _digits(
+            _cycle_window(n_max), partial(p_recurrence, r, j), 4),
+        note=_cycle_note,
         constraint=lambda r, j, n_max: r + j >= 1,
     ),
     IdentitySpec(
@@ -526,7 +442,11 @@ REGISTRY = _build_registry((
         "counts.p_egf",
         "literal alternating power double sum",
         _Domain({"r": (0, "icap", 0), "n": (0, "ncap", 0)}),
-        _eval_dsum_l,
+        lhs=lambda r, n: p_egf(r, 1, n)[n],
+        rhs=_power_double_sum,
+        note=lambda lhs, rhs, **_: (
+            "outer sum cut at k = n; inner sums beyond vanish: "
+            f"{rhs.evidence == [0, 0, 0]}"),
     ),
     IdentitySpec(
         "DSUM_T",
@@ -534,7 +454,10 @@ REGISTRY = _build_registry((
         "counts.p_egf",
         "counts.p_double_sum",
         _Domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
-        _eval_dsum_t,
+        lhs=lambda r, j, n: p_egf(r, j, n)[n],
+        rhs=lambda r, j, n: counts.p_double_sum(r, j, n),
+        note=lambda lhs, rhs, **_: (
+            "outer sum cut at k = n; k = n+1..n+3 rechecked to vanish"),
     ),
     IdentitySpec(
         "INCL_EXCL",
@@ -542,7 +465,9 @@ REGISTRY = _build_registry((
         "counts.p_egf at the all-marked-restricted family",
         "counts.p_inclusion_exclusion",
         _Domain({"r": (1, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
-        _eval_incl_excl,
+        lhs=lambda r, j, n: p_egf(r, j - r, n)[n],
+        rhs=lambda r, j, n: counts.p_inclusion_exclusion(r, j, n),
+        note=_incl_excl_note,
         diagnostic=True,
         constraint=lambda r, j, n: r <= j,
     ),
@@ -552,7 +477,9 @@ REGISTRY = _build_registry((
         "counts.p_egf",
         "literal certified series of weighted powers",
         _Domain({"n": (0, "ncap", 0)}),
-        partial(_eval_ser_powers, 0),
+        lhs=lambda n: p_egf(0, 1, n)[n],
+        rhs=lambda n: _weighted_powers(0, n),
+        note=_truncation_note,
     ),
     IdentitySpec(
         "SER_L8",
@@ -560,7 +487,9 @@ REGISTRY = _build_registry((
         "counts.p_egf",
         "literal certified series of weighted powers, reindexed",
         _Domain({"n": (0, "ncap", 0)}),
-        partial(_eval_ser_powers, 2),
+        lhs=lambda n: p_egf(2, 1, n)[n],
+        rhs=lambda n: _weighted_powers(2, n),
+        note=_truncation_note,
     ),
     IdentitySpec(
         "SER_T",
@@ -568,7 +497,9 @@ REGISTRY = _build_registry((
         "counts.p_egf",
         "counts.p_series_certified",
         _Domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
-        _eval_ser_t,
+        lhs=lambda r, j, n: p_egf(r, j, n)[n],
+        rhs=lambda r, j, n: Witnessed(*counts.p_series_certified(r, j, n)),
+        note=_truncation_note,
     ),
     IdentitySpec(
         "REC_L10",
@@ -576,7 +507,10 @@ REGISTRY = _build_registry((
         "counts.p_egf",
         "binomial sum over counts.p_recurrence values plus one",
         _Domain({"n": (1, "ncap", 0)}),
-        _eval_rec_l10,
+        lhs=lambda n: p_egf(0, 1, n)[n],
+        rhs=lambda n: sum(
+            binomial(n, s) * p_recurrence(0, 1, n - s) for s in range(1, n)
+        ) + 1,
     ),
     IdentitySpec(
         "REC_L11",
@@ -584,7 +518,12 @@ REGISTRY = _build_registry((
         "counts.p_egf",
         "binomial sum over counts.p_recurrence values plus a power of two",
         _Domain({"n": (0, "ncap", 0)}),
-        _eval_rec_l11,
+        lhs=lambda n: p_egf(2, 1, n + 1)[n + 1],
+        rhs=lambda n: sum(
+            binomial(n + 1, s) * p_recurrence(2, 1, s) for s in range(n + 1)
+        ) + 2 ** (n + 1),
+        note=lambda lhs, rhs, **_: (
+            "holds as stated at every checked point" if lhs == rhs else None),
         diagnostic=True,
     ),
     IdentitySpec(
@@ -593,7 +532,8 @@ REGISTRY = _build_registry((
         "counts.p_recurrence",
         "one recurrence step assembled from counts.p_egf values",
         _Domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (1, "ncap", 0)}),
-        _eval_rec_t,
+        lhs=lambda r, j, n: p_recurrence(r, j, n),
+        rhs=_recurrence_step,
     ),
     IdentitySpec(
         "EQ5",
@@ -601,7 +541,9 @@ REGISTRY = _build_registry((
         "counts.p_egf at the shifted family",
         "bernoulli.poly_bernoulli convolution over counts.p_egf",
         _Domain({"r": (3, "icap", 3), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
-        _eval_eq5,
+        lhs=lambda r, j, n: p_egf(r - 3, j - 1, n)[n],
+        rhs=lambda r, j, n: binomial_convolution(
+            n, _signed_b2, p_egf(r, j, n).values.__getitem__),
     ),
     IdentitySpec(
         "EQ6",
@@ -609,7 +551,13 @@ REGISTRY = _build_registry((
         "counts.p_egf",
         "reciprocal-coefficient convolution over counts.p_recurrence",
         _Domain({"n": (1, "ncap", 0)}),
-        _eval_eq6,
+        lhs=lambda n: p_egf(3, 1, n)[n],
+        # (-1)^{s+1} B^{-2}_s = -c_s, as B^{-2}_s = (-1)^s c_s, c_s the coefficient
+        rhs=lambda n: binomial_convolution(
+            n, lambda s: -bernoulli.reciprocal_coefficient(3, s),
+            partial(p_recurrence, 3, 1), start=1),
+        note=lambda lhs, rhs, **_: (
+            "B values read off the reciprocal series coefficients"),
     ),
     IdentitySpec(
         "EQ8",
@@ -617,7 +565,10 @@ REGISTRY = _build_registry((
         "counts.p_egf",
         "bernoulli.multi_poly_bernoulli convolution over counts.p_recurrence",
         _Domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
-        _eval_eq8,
+        lhs=lambda b, n: p_egf(3 + b, 1, n)[n],
+        rhs=lambda b, n: _alternating_conv(  # B^{(-2,0^b)}_0..n as one row
+            n, bernoulli._b_values(_two_pads(b), 0, n),
+            partial(p_recurrence, 3 + b, 1)),
     ),
     IdentitySpec(
         "EQ8_REARRANGED",
@@ -625,7 +576,9 @@ REGISTRY = _build_registry((
         "bernoulli.multi_poly_bernoulli",
         "printed-sign convolution of counts.p_egf with bernoulli.w_family",
         _Domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
-        _eval_eq8_rearranged,
+        lhs=lambda b, n: bernoulli.multi_poly_bernoulli(_two_pads(b), n),
+        rhs=_printed_sign,
+        note=_eq8_rearranged_note,
         diagnostic=True,
     ),
     IdentitySpec(
@@ -635,7 +588,10 @@ REGISTRY = _build_registry((
         "w_family convolution over counts.p_egf",
         _Domain({"b": (0, "icap", 0), "r": (3, "icap", 3),
                  "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
-        _eval_eq9,
+        lhs=lambda b, r, j, n: p_recurrence(r - (3 + b), j - 1, n),
+        rhs=lambda b, r, j, n: binomial_convolution(
+            n, p_egf(r, j, n).values.__getitem__,
+            lambda m: (-1) ** m * bernoulli.w_family(3 + b, m)),
         constraint=lambda b, r, j, n: r >= 3 + b,
     ),
     IdentitySpec(
@@ -644,7 +600,8 @@ REGISTRY = _build_registry((
         "bernoulli.multi_poly_bernoulli (mu route)",
         "binomial convolution of bernoulli.poly_bernoulli with the all-zero family",
         _Domain({"j": (0, "icap", 0), "b": (1, "icap", 0), "n": (0, "ncap", 0)}),
-        _eval_cor,
+        lhs=lambda j, b, n: bernoulli.multi_poly_bernoulli((j,) + (0,) * (b - 1), n),
+        rhs=lambda j, b, n: bernoulli.corollary_convolution(j, b, n),
     ),
     IdentitySpec(
         "CYCLE_B2",
@@ -652,7 +609,12 @@ REGISTRY = _build_registry((
         "bernoulli.multi_poly_bernoulli digits",
         "bernoulli.w_family digits four steps on",
         _Domain({"b": (0, "icap", 0), "n_max": _CYCLE}),
-        _eval_cycle_b2,
+        lhs=lambda b, n_max: _digits(
+            _cycle_window(n_max),
+            partial(bernoulli.multi_poly_bernoulli, _two_pads(b))),
+        rhs=lambda b, n_max: _digits(
+            _cycle_window(n_max), partial(bernoulli.w_family, 3 + b), 4),
+        note=_cycle_note,
     ),
     IdentitySpec(
         "CYCLE_BMULTI",
@@ -660,7 +622,12 @@ REGISTRY = _build_registry((
         "bernoulli.multi_poly_bernoulli digits",
         "bernoulli.multi_poly_bernoulli_li_sequence digits four steps on",
         _Domain({"idx": ("mcap", "mcap"), "n_max": _CYCLE}),
-        _eval_cycle_bmulti,
+        lhs=lambda idx, n_max: _digits(
+            _cycle_window(n_max), partial(bernoulli.multi_poly_bernoulli, idx)),
+        rhs=lambda idx, n_max: _digits(
+            _cycle_window(n_max),
+            bernoulli.multi_poly_bernoulli_li_sequence(idx, n_max).__getitem__, 4),
+        note=_cycle_note,
     ),
     IdentitySpec(
         "CYCLE_U",
@@ -668,7 +635,11 @@ REGISTRY = _build_registry((
         "bernoulli.u_number digits (finite Stirling sum)",
         "bernoulli.u_from_mu digits four steps on",
         _Domain({"idx": ("mcap", "mcap"), "n_max": _CYCLE}),
-        _eval_cycle_u,
+        lhs=lambda idx, n_max: _digits(
+            _cycle_window(n_max), partial(bernoulli.u_number, idx)),
+        rhs=lambda idx, n_max: _digits(
+            _cycle_window(n_max), partial(bernoulli.u_from_mu, idx), 4),
+        note=_cycle_note,
     ),
     IdentitySpec(
         "INTERP",
@@ -676,7 +647,9 @@ REGISTRY = _build_registry((
         "oracle.enumerate_rbpa_with_empty",
         "bernoulli.multi_poly_bernoulli (mu route)",
         _Domain({"b": (0, 2, 0), "n": (0, 6, 0)}),
-        _eval_interp,
+        lhs=_section_pair_counts,
+        rhs=lambda b, n: bernoulli.multi_poly_bernoulli(_two_pads(b), n),
+        note=_interp_note,
     ),
     IdentitySpec(
         "T3B",
@@ -684,7 +657,9 @@ REGISTRY = _build_registry((
         "bernoulli.u_stirling_sum",
         "bernoulli.u_via_shift",
         _Domain({"idx": (2, "mcap"), "n": (0, "ncap", 0)}),
-        _eval_t3b,
+        lhs=lambda idx, n: bernoulli.as_int(
+            bernoulli.u_stirling_sum(tuple(-e for e in idx), n)),
+        rhs=lambda idx, n: bernoulli.u_via_shift(idx, n),
     ),
     IdentitySpec(
         "UREL",
@@ -692,7 +667,9 @@ REGISTRY = _build_registry((
         "bernoulli.u_number",
         "bernoulli.multi_poly_bernoulli at the once-padded index",
         _Domain({"b": (0, "icap", 0), "n": (0, "ncap", 0)}),
-        _eval_urel,
+        lhs=lambda b, n: bernoulli.u_number(_two_pads(b), n),
+        rhs=lambda b, n: bernoulli.multi_poly_bernoulli(_two_pads(b + 1), n),
+        note=_urel_note,
         diagnostic=True,
     ),
     IdentitySpec(
@@ -701,7 +678,11 @@ REGISTRY = _build_registry((
         "counts.p_egf",
         "U convolution over counts.p_recurrence, both U readings",
         _Domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
-        _eval_eq13,
+        lhs=lambda b, n: p_egf(4 + b, 1, n)[n],
+        rhs=lambda b, n: _alternating_conv(  # shift-convention U_0..n as one row
+            n, bernoulli._u_values(_two_pads(b), n),
+            partial(p_recurrence, 4 + b, 1)),
+        note=_eq13_note,
         diagnostic=True,
     ),
     IdentitySpec(
@@ -710,7 +691,13 @@ REGISTRY = _build_registry((
         "bernoulli.multi_poly_bernoulli",
         "coefficient of the stated product series",
         _Domain({"b": (0, "icap", 0), "n": (0, "ncap", 0)}),
-        _eval_eq11b_sign,
+        lhs=lambda b, n: bernoulli.multi_poly_bernoulli(_two_pads(b), n),
+        # coefficient n of (2 - e^m) e^{-(3+b)m}, a product of two EGFs
+        rhs=lambda b, n: binomial_convolution(
+            n, lambda s: 2 * (s == 0) - 1, lambda m: int_pow(-(3 + b), m)),
+        note=lambda lhs, rhs, b, n: (
+            f"stated series carries coefficients (-1)^n times the values; "
+            f"absolute values agree: {abs(rhs) == lhs}"),
         diagnostic=True,
     ),
 ))

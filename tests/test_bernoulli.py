@@ -406,8 +406,8 @@ def test_corollary_convolution_matches_a_fraction_accumulation():
                         zeros = multi_poly_bernoulli((0,) * (b - 1), s)
                     rhs += binomial(n, s) * zeros * poly_bernoulli(-j, n - s)
                 got = corollary_convolution(j, b, n)
-                assert got == (multi_poly_bernoulli((j,) + (0,) * (b - 1), n), rhs)
-                assert (type(got[0]), type(got[1])) == (int, Fraction)
+                assert got == rhs
+                assert type(got) is int
 
 
 def test_corollary_convolution_check():

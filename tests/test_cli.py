@@ -1,8 +1,10 @@
 import json
+import os
+import sys
 
 import pytest
 
-from rbpa import bernoulli, cli, combinat, counts, identities, oracle
+from rbpa import bernoulli, combinat, counts, identities, oracle
 from rbpa.bernoulli import multi_poly_bernoulli_li_sequence, u_number
 from rbpa.cli import (
     J_CLI_MAX, R_CLI_MAX, SEQ_CLI_MAX, SET_BINDINGS_MAX, SET_MAX, UsageError,
@@ -456,15 +458,21 @@ def test_missing_or_negative_arguments_are_usage_errors(
     assert err == message
 
 
+def _with_sides(monkeypatch, ident, lhs, rhs):
+    """Replace one registry entry's sides and drop its note; keep the rest."""
+    spec = REGISTRY.get(ident)
+    monkeypatch.setitem(REGISTRY._specs, ident, IdentitySpec(
+        ident=spec.ident, anchor=spec.anchor, lhs_method=spec.lhs_method,
+        rhs_method=spec.rhs_method, domain=spec.domain, lhs=lhs, rhs=rhs,
+        diagnostic=spec.diagnostic, constraint=spec.constraint,
+    ))
+
+
 @pytest.fixture
 def no_evaluators(monkeypatch):
-    """Every registry entry's evaluator raises if called."""
+    """Every registry entry's sides raise if called."""
     for ident in REGISTRY.ids():
-        spec = REGISTRY.get(ident)
-        monkeypatch.setitem(REGISTRY._specs, ident, IdentitySpec(
-            spec.ident, spec.anchor, spec.lhs_method, spec.rhs_method,
-            spec.domain, _no_route, spec.diagnostic, spec.constraint,
-        ))
+        _with_sides(monkeypatch, ident, _no_route, _no_route)
 
 
 def _listed(values) -> str:
@@ -570,12 +578,7 @@ def test_verify_set_runs_at_its_ceilings(capsys):
 
 
 def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
-    spec = REGISTRY.get("L1")
-    monkeypatch.setitem(REGISTRY._specs, "L1", IdentitySpec(
-        spec.ident, spec.anchor, spec.lhs_method, spec.rhs_method,
-        spec.domain, lambda s, n: (0, 1, None), spec.diagnostic,
-        spec.constraint,
-    ))
+    _with_sides(monkeypatch, "L1", lambda s, n: 0, lambda s, n: 1)
     code, out, err = run(capsys, "verify", "L1", "--set", "s=2", "--set", "n=1")
     assert code == 1
     assert err == ""
@@ -628,3 +631,22 @@ def test_exit_code_tells_a_usage_error_from_a_fault(
     monkeypatch.setattr(module, name, _raising(exc))
     got, out, err = run(capsys, *argv.split())
     assert (got, out, err) == (code, "", message)
+
+
+def test_a_closed_stdout_ends_quietly(capsys, monkeypatch, tmp_path):
+    # `rbpa seq ... | head -1`: the reader went away, which is neither a
+    # usage error nor a fault. No `rbpa:` line, and stdout's descriptor
+    # points at devnull, so the interpreter's exit flush cannot raise
+    with open(tmp_path / "stdout", "w") as target:
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["seq", "--family", "W", "--r", "3", "--n-max", "5"])
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert code == 1
+    assert capsys.readouterr().err == ""

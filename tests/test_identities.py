@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,7 +46,8 @@ def test_registering_identical_routes_is_rejected():
         lhs_method="same.route",
         rhs_method="same.route",
         domain=lambda pr: {"n": [0]},
-        evaluate=lambda bd: (0, 0, None),
+        lhs=lambda n: 0,
+        rhs=lambda n: 0,
     )
     with pytest.raises(ValueError):
         reg.register(spec)
@@ -356,19 +358,15 @@ def test_registering_a_duplicate_id_is_rejected():
     assert str(exc.value) == "duplicate identity id T3"
 
 
-def _with_evaluator(monkeypatch, ident, evaluate):
-    spec = REGISTRY.get(ident)
-    monkeypatch.setitem(REGISTRY._specs, ident, IdentitySpec(
-        spec.ident, spec.anchor, spec.lhs_method, spec.rhs_method,
-        spec.domain, evaluate, spec.diagnostic, spec.constraint,
-    ))
-
-
 def test_run_all_counts_a_failing_check(monkeypatch):
     # L1 is not diagnostic; one wrong binding out of its domain fails the run
-    _with_evaluator(
-        monkeypatch, "L1", lambda s, n: (0, int((s, n) == (3, 1)), None)
-    )
+    spec = REGISTRY.get("L1")
+    monkeypatch.setitem(REGISTRY._specs, "L1", IdentitySpec(
+        ident=spec.ident, anchor=spec.anchor, lhs_method=spec.lhs_method,
+        rhs_method=spec.rhs_method, domain=spec.domain,
+        lhs=lambda s, n: 0, rhs=lambda s, n: int((s, n) == (3, 1)),
+        diagnostic=spec.diagnostic, constraint=spec.constraint,
+    ))
     summary = run_all("quick")
     assert summary.failed == 1
     assert summary.exit_code == 1
@@ -377,9 +375,67 @@ def test_run_all_counts_a_failing_check(monkeypatch):
 
 @pytest.mark.parametrize("profile", sorted(identities.PROFILES))
 def test_every_evaluator_takes_its_domain_by_keyword(profile):
-    # a misspelled parameter, or a domain key an evaluator ignores, shows
-    # here; run_identity calls spec.evaluate(**binding)
+    # a misspelled parameter, or a domain key a side ignores, shows here;
+    # spec.evaluate calls each side with **binding, and the note with
+    # both sides and **binding
     for ident in REGISTRY.ids():
         spec = REGISTRY.get(ident)
-        params = list(inspect.signature(spec.evaluate).parameters)
-        assert params == list(spec.domain(profile)), ident
+        domain = spec.domain(profile)
+        for side in (spec.lhs, spec.rhs):
+            assert list(inspect.signature(side).parameters) == list(domain), ident
+        if spec.note is not None:
+            binding = {name: values[0] for name, values in domain.items()}
+            inspect.signature(spec.note).bind(None, None, **binding)
+
+
+# Route provenance: which rbpa functions each side of an entry reaches.
+# Shared by design, and no route: combinat's kernels, the record base,
+# the argument validators, constructors, comprehension and lambda
+# frames, and the registry's own glue (padded indices, the cycle window
+# and the digit reader).
+_GLUE_MODULES = {"rbpa.combinat", "rbpa.record"}
+_GLUE_NAMES = {"as_multi_index", "as_int", "__init__",
+               "_two_pads", "_cycle_window", "_digits"}
+
+
+def _reached(side, binding) -> set:
+    """The rbpa functions side(**binding) calls from cold caches, less the glue."""
+    for module in [m for name, m in sys.modules.items() if name.startswith("rbpa.")]:
+        getattr(module, "clear_caches", lambda: None)()
+    seen = set()
+
+    def record(frame, event, arg):
+        if event != "call":
+            return
+        module = frame.f_globals.get("__name__", "")
+        name = frame.f_code.co_name
+        if (module.startswith("rbpa.") and module not in _GLUE_MODULES
+                and name not in _GLUE_NAMES and not name.startswith("<")):
+            seen.add(f"{module[5:]}.{name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        side(**binding)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_the_sides_of_few_identities_share_a_function():
+    # every quick binding, each side on its own. DSUM_T, EQ5 and SER_T
+    # read p_egf's engine on both sides, through _p_row and the Egf
+    # pipeline; the r-Stirling triangle of ROADMAP item 2 empties this
+    # set. COR's right side once computed its left side as well.
+    shared = {}
+    for ident in REGISTRY.ids():
+        spec = REGISTRY.get(ident)
+        if spec.diagnostic:
+            continue
+        for binding in bindings(ident, profile="quick"):
+            both = _reached(spec.lhs, binding) & _reached(spec.rhs, binding)
+            if both:
+                shared.setdefault(ident, set()).update(both)
+    assert set(shared) == {"DSUM_T", "EQ5", "SER_T"}, shared
+    for functions in shared.values():
+        assert {"counts._p_row", "egf.reciprocal"} <= functions

@@ -24,7 +24,7 @@ from rbpa import (
     p_egf,
     p_series_certified,
 )
-from rbpa.identities import IdentitySpec
+from rbpa.identities import IdentitySpec, Witnessed
 
 
 def _report(note=None):
@@ -33,7 +33,8 @@ def _report(note=None):
 
 def _spec():
     # builtins stand in for the domain and evaluator, so the record pickles
-    return IdentitySpec("X", "a = b", "m1", "m2", len, abs)
+    return IdentitySpec(ident="X", anchor="a = b", lhs_method="m1",
+                        rhs_method="m2", domain=len, lhs=abs, rhs=round)
 
 
 def _summary():
@@ -77,12 +78,21 @@ RECORDS = {
     "IdentitySpec": (
         _spec,
         lambda: IdentitySpec(ident="X", anchor="a = b", lhs_method="m1",
-                             rhs_method="m2", domain=len, evaluate=abs,
-                             diagnostic=False, constraint=None),
-        lambda: IdentitySpec("X", "a = b", "m1", "m2", len, abs, True),
+                             rhs_method="m2", domain=len, lhs=abs, rhs=round,
+                             note=None, diagnostic=False, constraint=None),
+        lambda: IdentitySpec(ident="X", anchor="a = b", lhs_method="m1",
+                             rhs_method="m2", domain=len, lhs=abs, rhs=round,
+                             diagnostic=True),
         "IdentitySpec(ident='X', anchor='a = b', lhs_method='m1', "
         "rhs_method='m2', domain=<built-in function len>, "
-        "evaluate=<built-in function abs>, diagnostic=False, constraint=None)",
+        "lhs=<built-in function abs>, rhs=<built-in function round>, "
+        "note=None, diagnostic=False, constraint=None)",
+    ),
+    "Witnessed": (
+        lambda: Witnessed(3, (1, 2)),
+        lambda: Witnessed(value=3, evidence=(1, 2)),
+        lambda: Witnessed(3, (1, 3)),
+        "Witnessed(value=3, evidence=(1, 2))",
     ),
     "Summary": (
         _summary,
@@ -101,8 +111,9 @@ SIGNATURES = {
     TailCertificate: "truncation_index tail_bound",
     MuTable: "index weight coefficients",
     CheckReport: "identity params lhs rhs passed note=None",
-    IdentitySpec: "ident anchor lhs_method rhs_method domain evaluate "
-                  "diagnostic=False constraint=None",
+    IdentitySpec: "ident anchor lhs_method rhs_method domain lhs rhs "
+                  "note=None diagnostic=False constraint=None",
+    Witnessed: "value evidence",
     Summary: "profile identities checks passed failed flagged failures diagnostics",
 }
 
@@ -168,7 +179,8 @@ def test_assignment_is_refused(name):
 
 
 def test_object_setattr_still_rebinds_a_field():
-    # the benchmark wraps each registry entry's evaluator this way
+    # the benchmark wraps each registry entry's evaluate method this way;
+    # the instance attribute shadows the method
     spec = _spec()
     object.__setattr__(spec, "evaluate", round)
     assert spec.evaluate is round

@@ -217,9 +217,7 @@ def _z_power_rows(order: int) -> tuple[tuple[int, ...], ...]:
     for _ in range(order):
         power = rows[-1]
         rows.append(tuple(
-            binomial_convolution(n, z.__getitem__, power.__getitem__, start=1)
-            for n in range(order + 1)
-        ))
+            binomial_convolution(n, z, power, start=1) for n in range(order + 1)))
     return tuple(rows)
 
 
@@ -466,9 +464,8 @@ def corollary_convolution(j: int, b: int, n: int) -> int:
     if j < 0 or n < 0:
         raise ValueError("j and n must be >= 0")
     zeros = power_sums((1,), (b - 1,), 0, n)
-    return binomial_convolution(
-        n, zeros.__getitem__, lambda m: as_int(poly_bernoulli(-j, m))
-    )
+    b_j = list(map(as_int, map(poly_bernoulli, repeat(-j), range(n + 1))))
+    return binomial_convolution(n, zeros, b_j)
 
 
 def corollary_convolution_check(j: int, b: int, n: int) -> bool:
@@ -486,8 +483,7 @@ def _reciprocal_row(r: int, order: int) -> tuple[int, ...]:
     one_free = unit_reciprocal((1,) + (-1,) * order)  # 1/(2 - e^m)
     exp_r = [int_pow(r, n) for n in range(order + 1)]  # e^{rm}
     return unit_reciprocal(tuple(
-        binomial_convolution(n, exp_r.__getitem__, one_free.__getitem__)
-        for n in range(order + 1)
+        binomial_convolution(n, exp_r, one_free) for n in range(order + 1)
     ))
 
 

@@ -8,7 +8,8 @@ the chain and reciprocal rows in `bernoulli`. The Stirling row, the
 lcm row and `power_sums` are each built in one C-level pass per row
 (`map`, `itertools.accumulate`, `zip`), not one Python step per entry.
 Exponential series with integer coefficients are multiplied by
-`binomial_convolution` and inverted by `unit_reciprocal`.
+`binomial_convolution` and inverted by `unit_reciprocal`, both over
+integer rows.
 """
 
 from __future__ import annotations
@@ -82,17 +83,24 @@ def binomial(n: int, k: int) -> int:
 
 
 def binomial_convolution(n: int, left, right, start: int = 0) -> int:
-    """sum_{s=start}^{n} C(n, s) left(s) right(n - s), the one binomial convolution.
+    """sum_{s=start}^{n} C(n, s) left[s] right[n - s] over two integer rows.
 
     The shape of Eq. 5, 6, 8, 9 and 13 and of the Corollary: coefficient
     n of a product of two exponential generating functions. A sign such
-    as (-1)^s goes inside the factor it multiplies. n and start are
-    >= 0; both factors are read at every s, even where one is zero.
+    as (-1)^s goes inside the row it multiplies. One C-level pass: the
+    binomials times left[start..n] times right[n-start..0]. A row may be
+    longer than the sum reads; a shorter one is a ValueError. start >= 0,
+    and start > n gives 0.
     """
-    total = 0
-    for s in range(start, n + 1):
-        total += math.comb(n, s) * left(s) * right(n - s)
-    return total
+    if start > n:
+        return 0
+    if len(left) <= n or len(right) <= n - start:
+        raise ValueError(
+            f"binomial_convolution: a row is too short for n = {n} from s = {start}")
+    return sum(map(
+        operator.mul, map(math.comb, repeat(n), range(start, n + 1)),
+        map(operator.mul, left[start:n + 1], right[n - start::-1]),
+    ))
 
 
 def unit_reciprocal(row) -> tuple[int, ...]:
@@ -107,9 +115,7 @@ def unit_reciprocal(row) -> tuple[int, ...]:
         raise ValueError(f"unit_reciprocal needs a_0 = 1, got {head}")
     inverse = [1]
     for n in range(1, len(row)):
-        inverse.append(
-            -binomial_convolution(n, row.__getitem__, inverse.__getitem__, start=1)
-        )
+        inverse.append(-binomial_convolution(n, row, inverse, start=1))
     return tuple(inverse)
 
 

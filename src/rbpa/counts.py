@@ -68,7 +68,7 @@ class SequenceTable(FrozenRecord):
     def __init__(self, r: int, j: int, values: tuple[int, ...]) -> None:
         if not values or values[0] != 1:
             raise ValueError("p(0) must be 1")
-        if any(v < 0 for v in values):
+        if min(values) < 0:
             raise ValueError("family values are counts, must be >= 0")
         fields = self.__dict__
         fields["r"] = r

@@ -1,15 +1,19 @@
 """Registry of every claimed identity, each wired to an executable
 check that sets two computation routes against each other.
 
-Each entry holds its two sides as callables, lhs(**binding) and
-rhs(**binding), one parameter per domain key; `lhs_method` and
-`rhs_method` name their routes in the coverage table. An optional
-note(lhs, rhs, **binding) explains the result. A side whose route makes
-the note's evidence (a tail certificate, vanished inner sums, per-pair
-counts) returns it with its value as a `Witnessed`, so no note computes
-a side twice. `IdentitySpec.evaluate` calls the sides, then the note,
-once per check. The test suite runs each side alone and pins which
-entries' sides reach a shared rbpa function.
+Each entry holds its two sides as callables, lhs(*binding) and
+rhs(*binding), that take the binding's values positionally in domain
+order; `lhs_method` and `rhs_method` name their routes in the coverage
+table. An optional note(lhs, rhs, *binding) explains the result. A side
+whose route makes the note's evidence (a tail certificate, vanished
+inner sums, per-pair counts) returns it with its value as a
+`Witnessed`, so no note computes a side twice. `run_identity` calls
+`IdentitySpec.evaluate(*values)`, the sides and then the note, once per
+check. The test suite runs each side alone and pins which entries'
+sides reach a shared rbpa function. Convolution sides sum integer rows
+by `combinat.binomial_convolution`; a row read again at the next
+binding comes from one `RowCache` keyed by its route object, so a
+patched or traced route builds its own rows.
 
 A handful of entries run in diagnostic mode: their source statement is
 known to hold only under a corrected reading, so a mismatch is flagged
@@ -26,13 +30,14 @@ through the one `json_value` and the one `canonical_json`.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import cycle, product
 from typing import Callable, Optional, Sequence
 
 from . import bernoulli, counts, oracle
-from .combinat import binomial, binomial_convolution, int_pow
+from .combinat import RowCache, binomial, binomial_convolution, int_pow
 from .counts import _certify_truncation, certified_round, p_egf, p_recurrence
 from .record import FrozenRecord
 
@@ -132,9 +137,9 @@ class IdentitySpec(FrozenRecord):
         lhs_method: str,
         rhs_method: str,
         domain: Callable[[str], dict],
-        lhs: Callable[..., object],  # binding by keyword -> left side
-        rhs: Callable[..., object],  # binding by keyword -> right side
-        note: Optional[Callable[..., Optional[str]]] = None,  # (lhs, rhs, **binding)
+        lhs: Callable[..., object],  # binding values in domain order -> left side
+        rhs: Callable[..., object],  # binding values in domain order -> right side
+        note: Optional[Callable[..., Optional[str]]] = None,  # (lhs, rhs, *binding)
         diagnostic: bool = False,
         constraint: Optional[Callable[..., bool]] = None,
     ) -> None:
@@ -150,17 +155,17 @@ class IdentitySpec(FrozenRecord):
         fields["diagnostic"] = diagnostic
         fields["constraint"] = constraint
 
-    def evaluate(self, **binding) -> tuple:
-        """(lhs, rhs, note) at one binding: each side once, then the note.
+    def evaluate(self, *binding) -> tuple:
+        """(lhs, rhs, note) at one binding's values: each side once, then the note.
 
         The note reads each side as it returned, a `Witnessed` included;
         the report gets the values.
         """
-        lhs = self.lhs(**binding)
-        rhs = self.rhs(**binding)
+        lhs = self.lhs(*binding)
+        rhs = self.rhs(*binding)
         if self.note is None:
             return lhs, rhs, None
-        note = self.note(lhs, rhs, **binding)
+        note = self.note(lhs, rhs, *binding)
         if type(lhs) is Witnessed:
             lhs = lhs.value
         if type(rhs) is Witnessed:
@@ -252,10 +257,10 @@ def _two_pads(b: int) -> tuple:
     return (2,) + (0,) * b
 
 
-# helpers for the sides and notes below. A side takes its binding by
-# keyword, one parameter per domain key, and looks each route up when it
-# runs, never storing the function, so a patched or traced route is the
-# one that runs
+# helpers for the sides and notes below. A side takes its binding's
+# values positionally, one parameter per domain key, and looks each
+# route up when it runs, never storing the function, so a patched or
+# traced route is the one that runs; `_row` keys its rows by the route
 
 
 def _cycle_window(n_max: int):
@@ -273,15 +278,34 @@ def _digits(window: range, value, ahead: int = 0) -> tuple:
     return tuple(value(n + ahead) % 10 for n in window)
 
 
-def _cycle_note(lhs, rhs, n_max, **_) -> str:
-    return f"digits at n and n+4 compared for n = 1..{n_max - 4}"
+def _cycle_note(lhs, rhs, *binding) -> str:  # n_max comes last
+    return f"digits at n and n+4 compared for n = 1..{binding[-1] - 4}"
 
 
-def _alternating_conv(n: int, values, right) -> int:
-    """sum_{s=1}^{n} C(n,s) (-1)^{s+1} values[s] right(n-s)."""
-    return binomial_convolution(
-        n, lambda s: (-1) ** (s + 1) * values[s], right, start=1
-    )
+# (sign, route, *args) -> the longest row of sign^m route(*args, m) built
+_rows = RowCache()
+
+
+def _row(n: int, sign: int, route, *args) -> tuple:
+    """sign^m route(*args, m) for m = 0..n and on, each taken by `as_int`."""
+    return _rows.row((sign, route, *args), n, _build_row, sign, route, args)
+
+
+def _build_row(sign: int, route, args: tuple, order: int) -> tuple:
+    values = (bernoulli.as_int(route(*args, m)) for m in range(order + 1))
+    return tuple(map(operator.mul, cycle((1, sign)), values))
+
+
+def clear_caches() -> None:
+    """Empty the row table the sides read, as at import."""
+    _rows.cache_clear()
+
+
+def _alternating_conv(n: int, values, r: int) -> int:
+    """sum_{s=1}^{n} C(n,s) (-1)^{s+1} values[s] p^r_1(n-s)."""
+    # (-1)^{s+1} = (-1)^{n+1} (-1)^{n-s}: a signed p row, and a sign outside
+    total = binomial_convolution(n, values, _row(n, -1, p_recurrence, r, 1), start=1)
+    return total if n & 1 else -total
 
 
 def _power_double_sum(r: int, n: int) -> Witnessed:
@@ -304,7 +328,7 @@ def _weighted_powers(r: int, n: int) -> Witnessed:
     return Witnessed(certified_round(lambda s: int_pow(s + r, n), cert), cert)
 
 
-def _truncation_note(lhs, rhs, **_) -> str:
+def _truncation_note(lhs, rhs, *_) -> str:
     cert = rhs.evidence
     return f"truncated at S = {cert.truncation_index}, tail < {cert.tail_bound}"
 
@@ -326,31 +350,6 @@ def _incl_excl_note(lhs, rhs, r, j, n) -> str:
 def _recurrence_step(r: int, j: int, n: int) -> int:
     row = p_egf(r, j, n).values
     return p_egf(r, j - 1, n)[n] + sum(binomial(n, s) * row[s] for s in range(n))
-
-
-def _signed_b2(s: int) -> int:  # (-1)^s B^{-2}_s
-    b_s = bernoulli.as_int(bernoulli.poly_bernoulli(-2, s))
-    return -b_s if s & 1 else b_s
-
-
-def _printed_sign(b: int, n: int) -> Witnessed:
-    # the printed convolution, with the p row the corrected sign reads
-    row = p_egf(3 + b, 1, n).values
-    printed = binomial_convolution(
-        n, row.__getitem__,
-        lambda m: (-1) ** (m + 1) * bernoulli.w_family(3 + b, m), start=1,
-    )
-    return Witnessed(printed, row)
-
-
-def _eq8_rearranged_note(lhs, rhs, b, n) -> str:
-    corrected = _alternating_conv(
-        n, rhs.evidence, partial(bernoulli.w_family, 3 + b)
-    )
-    return (
-        f"printed sign (-1)^(n-s+1) agrees only for even n; "
-        f"with (-1)^(s+1) the identity holds: {lhs == corrected}"
-    )
 
 
 def _section_pair_counts(b: int, n: int) -> Witnessed:
@@ -384,10 +383,7 @@ def _urel_note(lhs, rhs, b, n) -> str:
 
 
 def _eq13_note(lhs, rhs, b, n) -> str:
-    padded_u = _alternating_conv(
-        n, bernoulli._b_values(_two_pads(b + 1), 0, n),
-        partial(p_recurrence, 4 + b, 1),
-    )
+    padded_u = _alternating_conv(n, bernoulli._b_values(_two_pads(b + 1), 0, n), 4 + b)
     return (
         f"with the shift-convention U the sum gives {rhs}; reading U_s "
         f"as the (b+1)-padded B value gives {padded_u}, matching: "
@@ -444,7 +440,7 @@ REGISTRY = _build_registry((
         _Domain({"r": (0, "icap", 0), "n": (0, "ncap", 0)}),
         lhs=lambda r, n: p_egf(r, 1, n)[n],
         rhs=_power_double_sum,
-        note=lambda lhs, rhs, **_: (
+        note=lambda lhs, rhs, *_: (
             "outer sum cut at k = n; inner sums beyond vanish: "
             f"{rhs.evidence == [0, 0, 0]}"),
     ),
@@ -456,7 +452,7 @@ REGISTRY = _build_registry((
         _Domain({"r": (0, "icap", 0), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         lhs=lambda r, j, n: p_egf(r, j, n)[n],
         rhs=lambda r, j, n: counts.p_double_sum(r, j, n),
-        note=lambda lhs, rhs, **_: (
+        note=lambda lhs, rhs, *_: (
             "outer sum cut at k = n; k = n+1..n+3 rechecked to vanish"),
     ),
     IdentitySpec(
@@ -522,7 +518,7 @@ REGISTRY = _build_registry((
         rhs=lambda n: sum(
             binomial(n + 1, s) * p_recurrence(2, 1, s) for s in range(n + 1)
         ) + 2 ** (n + 1),
-        note=lambda lhs, rhs, **_: (
+        note=lambda lhs, rhs, *_: (
             "holds as stated at every checked point" if lhs == rhs else None),
         diagnostic=True,
     ),
@@ -542,8 +538,8 @@ REGISTRY = _build_registry((
         "bernoulli.poly_bernoulli convolution over counts.p_egf",
         _Domain({"r": (3, "icap", 3), "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         lhs=lambda r, j, n: p_egf(r - 3, j - 1, n)[n],
-        rhs=lambda r, j, n: binomial_convolution(
-            n, _signed_b2, p_egf(r, j, n).values.__getitem__),
+        rhs=lambda r, j, n: binomial_convolution(  # (-1)^s B^{-2}_s as a row
+            n, _row(n, -1, bernoulli.poly_bernoulli, -2), p_egf(r, j, n).values),
     ),
     IdentitySpec(
         "EQ6",
@@ -553,10 +549,10 @@ REGISTRY = _build_registry((
         _Domain({"n": (1, "ncap", 0)}),
         lhs=lambda n: p_egf(3, 1, n)[n],
         # (-1)^{s+1} B^{-2}_s = -c_s, as B^{-2}_s = (-1)^s c_s, c_s the coefficient
-        rhs=lambda n: binomial_convolution(
-            n, lambda s: -bernoulli.reciprocal_coefficient(3, s),
-            partial(p_recurrence, 3, 1), start=1),
-        note=lambda lhs, rhs, **_: (
+        rhs=lambda n: -binomial_convolution(
+            n, _row(n, 1, bernoulli.reciprocal_coefficient, 3),
+            _row(n, 1, p_recurrence, 3, 1), start=1),
+        note=lambda lhs, rhs, *_: (
             "B values read off the reciprocal series coefficients"),
     ),
     IdentitySpec(
@@ -567,8 +563,7 @@ REGISTRY = _build_registry((
         _Domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
         lhs=lambda b, n: p_egf(3 + b, 1, n)[n],
         rhs=lambda b, n: _alternating_conv(  # B^{(-2,0^b)}_0..n as one row
-            n, bernoulli._b_values(_two_pads(b), 0, n),
-            partial(p_recurrence, 3 + b, 1)),
+            n, bernoulli._b_values(_two_pads(b), 0, n), 3 + b),
     ),
     IdentitySpec(
         "EQ8_REARRANGED",
@@ -577,8 +572,15 @@ REGISTRY = _build_registry((
         "printed-sign convolution of counts.p_egf with bernoulli.w_family",
         _Domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
         lhs=lambda b, n: bernoulli.multi_poly_bernoulli(_two_pads(b), n),
-        rhs=_printed_sign,
-        note=_eq8_rearranged_note,
+        # (-1)^(m+1) W(m) is minus the signed W row EQ9 reads
+        rhs=lambda b, n: -binomial_convolution(
+            n, p_egf(3 + b, 1, n).values, _row(n, -1, bernoulli.w_family, 3 + b),
+            start=1),
+        # in every term the corrected sign (-1)^(s+1) is (-1)^n times the
+        # printed (-1)^(n-s+1), so the corrected sum is (-1)^n rhs
+        note=lambda lhs, rhs, b, n: (
+            f"printed sign (-1)^(n-s+1) agrees only for even n; with "
+            f"(-1)^(s+1) the identity holds: {lhs == (-rhs if n & 1 else rhs)}"),
         diagnostic=True,
     ),
     IdentitySpec(
@@ -590,8 +592,7 @@ REGISTRY = _build_registry((
                  "j": (1, "icap", 0), "n": (0, "ncap", 0)}),
         lhs=lambda b, r, j, n: p_recurrence(r - (3 + b), j - 1, n),
         rhs=lambda b, r, j, n: binomial_convolution(
-            n, p_egf(r, j, n).values.__getitem__,
-            lambda m: (-1) ** m * bernoulli.w_family(3 + b, m)),
+            n, p_egf(r, j, n).values, _row(n, -1, bernoulli.w_family, 3 + b)),
         constraint=lambda b, r, j, n: r >= 3 + b,
     ),
     IdentitySpec(
@@ -680,8 +681,7 @@ REGISTRY = _build_registry((
         _Domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
         lhs=lambda b, n: p_egf(4 + b, 1, n)[n],
         rhs=lambda b, n: _alternating_conv(  # shift-convention U_0..n as one row
-            n, bernoulli._u_values(_two_pads(b), n),
-            partial(p_recurrence, 4 + b, 1)),
+            n, bernoulli._u_values(_two_pads(b), n), 4 + b),
         note=_eq13_note,
         diagnostic=True,
     ),
@@ -694,7 +694,7 @@ REGISTRY = _build_registry((
         lhs=lambda b, n: bernoulli.multi_poly_bernoulli(_two_pads(b), n),
         # coefficient n of (2 - e^m) e^{-(3+b)m}, a product of two EGFs
         rhs=lambda b, n: binomial_convolution(
-            n, lambda s: 2 * (s == 0) - 1, lambda m: int_pow(-(3 + b), m)),
+            n, (1,) + (-1,) * n, _row(n, 1, int_pow, -(3 + b))),
         note=lambda lhs, rhs, b, n: (
             f"stated series carries coefficients (-1)^n times the values; "
             f"absolute values agree: {abs(rhs) == lhs}"),
@@ -737,11 +737,10 @@ def bindings(
                 f"got {min(domain[key])}"
             )
     names = list(domain)
-    found = []
-    for combo in product(*(domain[k] for k in names)):
-        binding = dict(zip(names, combo))
-        if spec.constraint is None or spec.constraint(**binding):
-            found.append(binding)
+    found = [
+        dict(zip(names, combo)) for combo in product(*domain.values())
+        if spec.constraint is None or spec.constraint(*combo)
+    ]
     if not found:
         raise BindingError(
             f"{ident}: no binding to check; the domain is empty or the "
@@ -759,17 +758,8 @@ def run_identity(
     spec = REGISTRY.get(ident)
     reports = []
     for binding in bindings(ident, overrides, profile):
-        lhs, rhs, note = spec.evaluate(**binding)
-        reports.append(
-            CheckReport(
-                identity=ident,
-                params=binding,
-                lhs=lhs,
-                rhs=rhs,
-                passed=lhs == rhs,
-                note=note,
-            )
-        )
+        lhs, rhs, note = spec.evaluate(*binding.values())
+        reports.append(CheckReport(ident, binding, lhs, rhs, lhs == rhs, note))
     return reports
 
 

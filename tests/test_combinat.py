@@ -34,7 +34,7 @@ def test_binomial_pascal_rule(n, k):
 def _convolution_loop(n, left, right, start):
     total = 0
     for s in range(start, n + 1):
-        total += math.comb(n, s) * left(s) * right(n - s)
+        total += math.comb(n, s) * left[s] * right[n - s]
     return total
 
 
@@ -46,22 +46,38 @@ def test_binomial_convolution_matches_a_literal_loop(start):
         lambda s: -(3 ** s) + s,
         lambda s: 1 if s == 0 else 0,
     ]
+    rows = [[factor(s) for s in range(12)] for factor in factors]
     for n in range(12):
-        for left in factors:
-            for right in factors:
+        for left in rows:
+            for right in rows:
                 assert binomial_convolution(n, left, right, start) == (
                     _convolution_loop(n, left, right, start)
                 )
 
 
 def test_binomial_convolution_edges():
-    # n = 0 is the single term left(0) right(0); from start 1 it is empty
-    assert binomial_convolution(0, lambda s: -7, lambda s: 5) == -35
-    assert binomial_convolution(0, lambda s: -7, lambda s: 5, start=1) == 0
-    # sum_s C(n,s) (-1)^s = 0 for n >= 1, and 2^n with both factors 1
-    assert binomial_convolution(6, lambda s: (-1) ** s, lambda s: 1) == 0
-    assert binomial_convolution(6, lambda s: 1, lambda s: 1) == 64
-    assert binomial_convolution(6, lambda s: 1, lambda s: 1, start=1) == 63
+    # n = 0 is the single term left[0] right[0]; from start 1 it is empty
+    assert binomial_convolution(0, [-7], [5]) == -35
+    assert binomial_convolution(0, [-7], [5], start=1) == 0
+    # sum_s C(n,s) (-1)^s = 0 for n >= 1, and 2^n with both rows all 1
+    assert binomial_convolution(6, [(-1) ** s for s in range(7)], [1] * 7) == 0
+    assert binomial_convolution(6, [1] * 7, [1] * 7) == 64
+    assert binomial_convolution(6, [1] * 7, [1] * 7, start=1) == 63
+
+
+def test_binomial_convolution_refuses_a_short_row():
+    # a row longer than the sum reads changes nothing
+    left, right = [1, 2, 3, 4, 5], [5, 4, 3, 2, 1]
+    assert binomial_convolution(3, left, right) == binomial_convolution(
+        3, left[:4], right[:4]) == 1 * 2 + 3 * 2 * 3 + 3 * 3 * 4 + 4 * 5
+    # from start 1, right[0..n-1] is all it reads
+    assert binomial_convolution(3, left[:4], right[:3], start=1) == 74
+    # a short row is an error, never a sum that starts at the wrong entry
+    for n_left, n_right, start in ((3, 5, 0), (5, 3, 0), (5, 2, 1)):
+        with pytest.raises(ValueError, match="binomial_convolution"):
+            binomial_convolution(3, left[:n_left], right[:n_right], start)
+    # past n the sum is empty, whatever the rows
+    assert binomial_convolution(3, [], [], start=4) == 0
 
 
 unit_rows = st.integers(0, 40).flatmap(

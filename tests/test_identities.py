@@ -139,7 +139,7 @@ def test_eq11b_sign_convolution_is_the_series_product_coefficient():
     for b in range(9):
         series = (2 * one(60) - exp_series(1, 60)) * exp_series(-(3 + b), 60)
         for n in range(61):
-            assert evaluate(b=b, n=n)[1] == series.coeff_int(n)
+            assert evaluate(b, n)[1] == series.coeff_int(n)
 
 
 @pytest.mark.parametrize("ident, binding, calls", [
@@ -221,6 +221,21 @@ def test_constraint_prunes_the_domain():
         "EQ9", overrides={"b": [2], "r": [3, 4, 5], "j": [1], "n": [2]}
     )
     assert {r.params["r"] for r in reports} == {5}
+
+
+@pytest.mark.parametrize("ident, overrides", [
+    ("EQ9", {"n": [3], "b": [1]}),
+    ("EQ5", {"n": [2, 5], "r": [3, 6]}),
+])
+def test_overrides_in_any_key_order_bind_in_domain_order(ident, overrides):
+    # evaluate passes the binding's values positionally, so every binding
+    # lists them in domain order, whatever order the overrides name them
+    domain = list(REGISTRY.get(ident).domain("full"))
+    in_order = {key: overrides[key] for key in domain if key in overrides}
+    assert list(in_order) != list(overrides)
+    reports = run_identity(ident, overrides)
+    assert reports == run_identity(ident, in_order)
+    assert all(list(r.params) == domain and r.passed for r in reports)
 
 
 def test_a_check_without_bindings_is_an_error():
@@ -375,17 +390,18 @@ def test_run_all_counts_a_failing_check(monkeypatch):
 
 @pytest.mark.parametrize("profile", sorted(identities.PROFILES))
 def test_every_evaluator_takes_its_domain_by_keyword(profile):
-    # a misspelled parameter, or a domain key a side ignores, shows here;
-    # spec.evaluate calls each side with **binding, and the note with
-    # both sides and **binding
+    # a misspelled parameter, or a domain key a side ignores or takes out
+    # of order, shows here; spec.evaluate calls each side with the
+    # binding's values in domain order, and the note with both sides and
+    # those values
     for ident in REGISTRY.ids():
         spec = REGISTRY.get(ident)
         domain = spec.domain(profile)
         for side in (spec.lhs, spec.rhs):
             assert list(inspect.signature(side).parameters) == list(domain), ident
         if spec.note is not None:
-            binding = {name: values[0] for name, values in domain.items()}
-            inspect.signature(spec.note).bind(None, None, **binding)
+            values = [values[0] for values in domain.values()]
+            inspect.signature(spec.note).bind(None, None, *values)
 
 
 # Route provenance: which rbpa functions each side of an entry reaches.

@@ -148,7 +148,7 @@ def test_readme_library_tour():
 
 
 def _warm_every_cache():
-    from rbpa import bernoulli, counts, oracle
+    from rbpa import bernoulli, counts, identities, oracle
 
     counts.p_binomial_shift(1, 2, 6)
     counts.p_recurrence(1, 2, 6)
@@ -159,9 +159,12 @@ def _warm_every_cache():
     bernoulli.reciprocal_coefficient(2, 4)
     oracle.enumerate_rbpa(3, 1, 1)
     oracle.enumerate_rbpa_with_empty(3, 1, 0, 1)
+    identities.run_identity("EQ9", {"b": 0, "r": 3, "j": 1, "n": 2})
 
 
-@pytest.mark.parametrize("name", ["combinat", "counts", "bernoulli", "oracle"])
+@pytest.mark.parametrize(
+    "name", ["combinat", "counts", "bernoulli", "oracle", "identities"]
+)
 def test_clear_caches_empties_every_cache_the_module_owns(name):
     # found by attribute, so a cache added later without a matching
     # line in clear_caches fails here

@@ -35,8 +35,8 @@ from itertools import accumulate, combinations, repeat
 from typing import Sequence
 
 from .combinat import (
-    RowCache, binomial, binomial_convolution, factorial, int_pow, lcm_row,
-    power_sums, stirling2, stirling2_row, unit_reciprocal,
+    RowCache, binomial, binomial_convolution, int_pow, lcm_row, power_sums,
+    stirling2_row, unit_reciprocal,
 )
 from .record import FrozenRecord
 
@@ -57,7 +57,8 @@ class MuTable(FrozenRecord):
 
     The represented number family is sum_s mu_s (s+b)^n, b = len(index).
     mu_0 is 1 for the all-zero index and 0 otherwise; the weight j is
-    the entry sum.
+    the entry sum. `mu_table` builds it from the all-zero index's
+    weights (1,) by integer steps alone.
     """
 
     _fields = ("index", "weight", "coefficients")
@@ -78,24 +79,23 @@ class MuTable(FrozenRecord):
         fields["coefficients"] = coefficients
 
 
-def _increment_last(coeffs: tuple[int, ...], b: int) -> tuple[int, ...]:
-    # raising the last index entry by one: new_s = (s+b-1) prev_{s-1} - s prev_s
-    prev = coeffs
-    out = []
-    for s in range(len(prev) + 1):
-        left = prev[s - 1] if s >= 1 else 0
-        here = prev[s] if s < len(prev) else 0
-        out.append((s + b - 1) * left - s * here)
-    return tuple(out)
+def _increment_last(prev: tuple[int, ...], b: int) -> tuple[int, ...]:
+    # raising the last of b index entries by one, in one C-level pass:
+    # new_s = (s+b-1) prev_{s-1} - s prev_s, prev read as 0 outside it
+    return tuple(map(
+        operator.sub,
+        map(operator.mul, range(b - 1, len(prev) + b), (0,) + prev),
+        map(operator.mul, range(len(prev) + 1), prev + (0,)),
+    ))
 
 
 def mu_table(idx: Sequence[int]) -> MuTable:
     """Build the mu weights entry by entry, left to right.
 
-    The first entry seeds mu_s = (-1)^{s+j_1} s! {j_1 brace s}; each
-    later entry is appended as zero (which leaves the weights alone)
-    and then raised to its value one step at a time. The index is
-    validated before the cache is read, so a float entry is a
+    Start from the all-zero index's (1,) and raise each entry pos to
+    its value one step at a time, at b = pos + 1. The first entry gives
+    mu_s = (-1)^{s+j_1} s! {j_1 brace s} with no Stirling row read. The
+    index is validated before the cache is read, so a float entry is a
     TypeError whether or not its int twin is cached.
     """
     return _mu_table(as_multi_index(idx))
@@ -103,14 +103,9 @@ def mu_table(idx: Sequence[int]) -> MuTable:
 
 @lru_cache(maxsize=None)
 def _mu_table(idx: MultiIndex) -> MuTable:
-    j1 = idx[0]
-    coeffs = tuple(
-        (-1) ** (s + j1) * factorial(s) * stirling2(j1, s)
-        for s in range(j1 + 1)
-    )
-    for pos in range(1, len(idx)):
-        b = pos + 1
-        for _ in range(idx[pos]):
+    coeffs = (1,)
+    for b, entry in enumerate(idx, 1):
+        for _ in range(entry):
             coeffs = _increment_last(coeffs, b)
     return MuTable(index=idx, weight=sum(idx), coefficients=coeffs)
 
@@ -386,17 +381,6 @@ def _u_sum(chain, b: int, n: int) -> int:
     for m in range(n, -1, -1):
         total = chain[b + m] * row[m + 1] - (m + 1) * total
     return -total if n & 1 else total
-
-
-def _u_values(idx: MultiIndex, n_max: int) -> list[int]:
-    """U_0..U_{n_max} at upper index -idx, on the u_stirling_sum route.
-
-    One chain row, the one u_number reads, serves every n.
-    """
-    upper = tuple(-e for e in idx)
-    b = len(upper)
-    chain = _chain_rows.row(upper, n_max + b, _chain_power_rows, upper)
-    return [_u_sum(chain, b, n) for n in range(n_max + 1)]
 
 
 def as_int(value: Fraction) -> int:

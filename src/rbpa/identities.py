@@ -681,7 +681,7 @@ REGISTRY = _build_registry((
         _Domain({"b": (0, "icap", 0), "n": (1, "ncap", 0)}),
         lhs=lambda b, n: p_egf(4 + b, 1, n)[n],
         rhs=lambda b, n: _alternating_conv(  # shift-convention U_0..n as one row
-            n, bernoulli._u_values(_two_pads(b), n), 4 + b),
+            n, _row(n, 1, bernoulli.u_stirling_sum, (-2,) + (0,) * b), 4 + b),
         note=_eq13_note,
         diagnostic=True,
     ),

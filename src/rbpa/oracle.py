@@ -119,8 +119,13 @@ def _osp_count(m: int) -> int:
 
 
 def enumerate_preferential_arrangements(n: int) -> int:
-    """Number of ordered set partitions of {1..n}, by direct generation."""
+    """Number of ordered set partitions of {1..n}, by direct generation.
+
+    They are the arrangements over one free section, so more than
+    ORACLE_STRUCTURES_MAX of them are refused before any is listed.
+    """
     _check_size(n)
+    _check_arrangements(n, ("free",))
     return sum(1 for _ in ordered_set_partitions(range(1, n + 1)))
 
 
@@ -130,13 +135,17 @@ def enumerate_rbpa(n: int, r: int, j: int) -> int:
     Canonical construction: a base-(r+j) counter assigns each element a
     section; a restricted section contributes one arrangement (all its
     elements in a single block), a free section contributes one per
-    ordered set partition of its elements.
+    ordered set partition of its elements. With a free section some
+    assignment puts all n elements in it, so the run is refused when
+    one free section alone has more than ORACLE_STRUCTURES_MAX.
     """
     _check_size(n)
     if r < 0 or j < 0:
         raise ValueError("r and j must be >= 0")
     k = r + j
     _check_work(n, k)
+    if j:
+        _check_arrangements(n, ("free",))
     total = 0
     for assignment in itertools.product(range(k), repeat=n):
         sizes = [0] * k

@@ -160,6 +160,17 @@ def test_mu_table_head_and_weight():
     assert mu_table((0, 0)).coefficients == (1,)
 
 
+def test_mu_table_reads_no_stirling_row():
+    # a first entry j is raised from (1,) in j integer steps, so
+    # mu_table((1200, 0)) keeps no 1200-row Stirling triangle behind
+    bernoulli.clear_caches()
+    combinat.clear_caches()
+    table = mu_table((40, 0))
+    assert combinat.stirling2_row.cache_info().currsize == 0
+    assert table.coefficients == tuple(
+        (-1) ** (s + 40) * factorial(s) * stirling2(40, s) for s in range(41))
+
+
 def test_appending_zero_keeps_the_table():
     for idx in [(1,), (2,), (1, 1), (2, 1)]:
         assert mu_table(idx + (0,)).coefficients == mu_table(idx).coefficients

@@ -536,7 +536,7 @@ def test_every_scalar_parameter_has_a_ceiling():
     ("EQ9", {"b": [0, 1]}),  # the README's example
     *[(ident, {"n": [36, 40]}) for ident in (
         "DSUM_T", "SER_T", "T3", "REC_T", "EQ5", "EQ6", "EQ8",
-        "EQ8_REARRANGED", "EQ9", "EQ13", "COR", "T3B")],  # pinned in CI
+        "EQ8_REARRANGED", "EQ9", "EQ13", "COR", "T3B")],  # pinned in tests/pins.txt
     ("CYCLE_U", {"n_max": [60]}),
     ("CYCLE_P", {"n_max": [60]}),
     # 896 bindings after EQ9's constraint, 1280 without it

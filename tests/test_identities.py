@@ -180,12 +180,14 @@ def test_eq13_reads_u_as_one_row(monkeypatch):
 
 
 def test_the_u_row_equals_the_binomial_shift():
+    # the row EQ13's shift-convention side reads
     bernoulli.clear_caches()
+    identities.clear_caches()
     for b in range(9):
         idx = identities._two_pads(b)
-        row = bernoulli._u_values(idx, 60)
+        row = identities._row(60, 1, bernoulli.u_stirling_sum, (-2,) + (0,) * b)
         assert len(row) == 61
-        assert row == [bernoulli.u_via_shift(idx, n) for n in range(61)]
+        assert row == tuple(bernoulli.u_via_shift(idx, n) for n in range(61))
 
 
 def test_interp_note_reports_the_bar_count_discrepancy():

@@ -85,6 +85,24 @@ def test_enumerate_rbpa_runs_at_the_work_bound(monkeypatch):
     assert oracle.enumerate_rbpa(6, 3, 7) == 0
 
 
+@pytest.mark.parametrize("count", [
+    oracle.enumerate_preferential_arrangements,
+    lambda n: oracle.enumerate_rbpa(n, 0, 1),
+], ids=["preferential", "rbpa"])
+def test_partition_listings_are_refused_past_the_structure_bound(
+        monkeypatch, count):
+    # 1^(n+1) assignment work always passes, but one free section lists
+    # every ordered set partition of {1..n}: 545,835 at n = 8 and
+    # 7,087,261 at n = 9 are refused before the first, 47,293 at n = 7 run
+    oracle.clear_caches()
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "ordered_set_partitions", _no_enumeration)
+        for n in (8, 9):
+            with pytest.raises(oracle.SizeLimitError, match="arrangements"):
+                count(n)
+    assert count(7) == 47293
+
+
 def test_iter_rbpa_and_with_empty_refuse_a_large_run_at_once(monkeypatch):
     monkeypatch.setattr(oracle.itertools, "product", _no_enumeration)
     with pytest.raises(oracle.SizeLimitError, match="work limit"):

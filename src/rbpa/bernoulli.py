@@ -9,7 +9,8 @@ so in their name or docstring.
 
 Three independent routes to the same numbers live here:
 * the mu recursion (a finite signed combination of powers),
-* a truncated expansion in powers of 1 - e^{-m} ("li oracle"),
+* a truncated expansion in powers of 1 - e^{-m} ("li oracle"), whose
+  sequence form reads the U Stirling sum's chain rows,
 * for the U variant, a finite Stirling-weighted sum and the binomial
   shift of the B values.
 
@@ -240,26 +241,17 @@ def multi_poly_bernoulli_li_oracle(idx: Sequence[int], n: int) -> int:
 def multi_poly_bernoulli_li_sequence(idx: Sequence[int], n_max: int) -> tuple[int, ...]:
     """Values for n = 0..n_max from the same expansion, reorganized.
 
-    The chain sum over 0 < s_1 < ... < s_b = t is folded into prefix
-    sums, which is the only change from multi_poly_bernoulli_li_oracle;
-    needed because the literal tuple enumeration is hopeless at the
-    window sizes the last-digit checks use.
+    The chain sums over 0 < s_1 < ... < s_b = t are read from the chain
+    row of the signed indices that u_stirling_sum reads, so no tuple is
+    enumerated: that is hopeless at the last-digit checks' windows.
     """
     idx = as_multi_index(idx)
     n_max = operator.index(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     b = len(idx)
-    t_max = n_max + b
-    chain = [int_pow(t, idx[0]) for t in range(t_max + 1)]
-    chain[0] = 0
-    for depth in range(1, b):
-        running = 0
-        nxt = [0] * (t_max + 1)
-        for t in range(1, t_max + 1):
-            running += chain[t - 1]
-            nxt[t] = int_pow(t, idx[depth]) * running
-        chain = nxt
+    signed = tuple(-e for e in idx)
+    chain = _chain_rows.row(signed, n_max + b, _chain_power_rows, signed)
     rows = _z_power_rows(n_max)
     values = []
     for n in range(n_max + 1):

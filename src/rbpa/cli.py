@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import partial
 
 from . import bernoulli, counts, identities, oracle
-from .combinat import unit_reciprocal
 
 
 class UsageError(Exception):
@@ -210,9 +209,10 @@ def cmd_egf(args) -> int:
         raise UsageError("--r and --j must be >= 0")
     _check_cap("--j", args.j, J_CLI_MAX)
     _check_cap("--r", args.r, R_CLI_MAX)
-    vals = counts.p_egf(args.r, args.j, args.order).values
     if args.reciprocal:
-        vals = unit_reciprocal(vals)
+        vals = counts.p_reciprocal_row(args.r, args.j, args.order)
+    else:
+        vals = counts.p_egf(args.r, args.j, args.order).values
     params = {"r": args.r, "j": args.j, "reciprocal": bool(args.reciprocal)}
     _emit_values("egf", params, vals, args.format, sys.stdout)
     return 0
@@ -268,8 +268,11 @@ def _parse_overrides(pairs) -> dict:
         if "=" not in pair:
             raise UsageError(f"bad override {pair!r}; expected name=v1,v2,...")
         name, _, raw = pair.partition("=")
+        name = name.strip()
+        if name in overrides:
+            raise UsageError(f"--set names {name} twice")
         try:
-            overrides[name.strip()] = [int(v) for v in raw.split(",")]
+            overrides[name] = [int(v) for v in raw.split(",")]
         except ValueError:
             raise UsageError(f"override values must be integers: {pair!r}") from None
     return overrides

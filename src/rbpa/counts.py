@@ -12,12 +12,12 @@ j free sections, computed by four routes.
 Every route except p_recurrence reads generating-function rows through
 one `combinat.RowCache`: `_p_row(r, j, order)` builds one truncated
 series per miss, as e^{rm} times the reciprocal of (2 - e^m)^j. That
-power is no series power: by the binomial theorem its coefficient n is
-the integer sum_i C(j,i) 2^(j-i) (-1)^i i^n, so it costs O(j * order)
-integer operations. `_p_values` serves each request for p^r_j(0..n)
-as a slice of the longest row built for (r, j), grown by the cache's
-doubling rule. Slicing is exact because coefficient n of
-e^{rm}/(2-e^m)^j does not depend on the truncation order.
+power is no series power: `p_reciprocal_row` gives e^{-rm}(2 - e^m)^j
+in closed form, one power sum of O(j * order) integer operations.
+`_p_values` serves each request for p^r_j(0..n) as a slice of the
+longest row built for (r, j), grown by the cache's doubling rule.
+Slicing is exact because coefficient n of e^{rm}/(2-e^m)^j does not
+depend on the truncation order.
 
 The sums over those rows stay in integers. A shifted value
 p^base_j(n) = sum_s C(n,s) base^s p^0_j(n-s) is a degree-n polynomial
@@ -95,19 +95,23 @@ class TailCertificate(FrozenRecord):
         fields["tail_bound"] = tail_bound
 
 
-def two_minus_exp_power(j: int, order: int) -> Egf:
-    """(2 - e^m)^j, expanded by the binomial theorem.
+def p_reciprocal_row(r: int, j: int, order: int) -> tuple[int, ...]:
+    """Coefficients 0..order of e^{-rm}(2 - e^m)^j, the reciprocal of p^r_j's series.
 
-    (2 - e^m)^j = sum_i C(j,i) 2^(j-i) (-1)^i e^{im}, so coefficient n
-    is sum_i C(j,i) 2^(j-i) (-1)^i i^n, with 0^0 = 1: a power sum of
-    O(j * order) integer operations that raises no series to a power.
+    By the binomial theorem coefficient n is sum_i C(j,i) 2^(j-i) (-1)^i
+    (i-r)^n, with 0^0 = 1: one power sum over the bases -r..j-r, of
+    O(j * order) integer operations, that inverts and raises no series.
     """
+    r, j, order = operator.index(r), operator.index(j), operator.index(order)
+    if r < 0 or j < 0 or order < 0:
+        raise ValueError("r, j, order must be >= 0")
     weights = [(-1) ** i * math.comb(j, i) << (j - i) for i in range(j + 1)]
-    return Egf(order, tuple(power_sums(weights, range(j + 1), 0, order)))
+    return tuple(power_sums(weights, range(-r, j - r + 1), 0, order))
 
 
 def _p_row(r: int, j: int, order: int) -> tuple[int, ...]:
-    series = exp_series(r, order) * two_minus_exp_power(j, order).reciprocal()
+    inverse = Egf(order, p_reciprocal_row(0, j, order)).reciprocal()
+    series = exp_series(r, order) * inverse
     return tuple(series.coeff_int(n) for n in range(order + 1))
 
 

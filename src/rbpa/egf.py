@@ -7,7 +7,7 @@ triangular solve. Mixed-order arithmetic is an error rather than a
 silent truncation, so every pipeline fixes one order up front.
 
 f ** k is k products, the plain reference the tests hold
-`counts.two_minus_exp_power` to. A series with integer coefficients and
+`counts.p_reciprocal_row` to. A series with integer coefficients and
 a_0 = 1 is inverted in ints by `combinat.unit_reciprocal`.
 """
 

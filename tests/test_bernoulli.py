@@ -217,6 +217,16 @@ def test_li_sequence_agrees_with_li_oracle(idx, n_max):
         assert seq[n] == multi_poly_bernoulli_li_oracle(idx, n)
 
 
+def test_li_sequence_reads_the_shared_chain_row():
+    # the chain sums are u_stirling_sum's row for the signed indices,
+    # not a second copy of them
+    bernoulli.clear_caches()
+    values = multi_poly_bernoulli_li_sequence((2, 1), 12)
+    assert bernoulli._chain_power_rows.cache_info().currsize == 1
+    assert len(bernoulli._chain_rows.get((-2, -1))) == 15
+    assert values == tuple(multi_poly_bernoulli((2, 1), n) for n in range(13))
+
+
 def test_w_family():
     assert [w_family(3, n) for n in range(4)] == [1, 4, 14, 46]
     assert [w_family(1, n) for n in range(4)] == [1, 2, 2, 2]
@@ -499,8 +509,8 @@ def test_b_and_u_routes_refuse_bad_arguments(route, args, message):
 
 def test_integer_routes_build_no_series(monkeypatch, capsys):
     # the reciprocal rows, the z power rows and `egf --reciprocal` are
-    # integer products and unit reciprocals; only the p row under the
-    # dump is an Egf pipeline, so it is built before the patch
+    # integer products, unit reciprocals and power sums; the Egf
+    # reference for the dump is built before the patch
     for module in (combinat, counts, bernoulli):
         module.clear_caches()
     p_row = p_egf(2, 3, 20).values

@@ -221,7 +221,7 @@ def _no_route(*args, **kwargs):
 def no_routes(monkeypatch):
     """Every value route that seq, cycle and egf reach raises if called."""
     for module, name in [
-        (counts, "p_egf"), (counts, "two_minus_exp_power"),
+        (counts, "p_egf"), (counts, "p_reciprocal_row"),
         (bernoulli, "poly_bernoulli"), (bernoulli, "multi_poly_bernoulli"),
         (bernoulli, "u_number"), (bernoulli, "u_stirling_sum"),
         (bernoulli, "w_family"),
@@ -497,6 +497,8 @@ SET_N = "rbpa: --set n takes values up to 60\n"
     ("verify L1 --set n=0", "rbpa: L1: n takes values from 1, got 0\n"),
     ("verify INCL_EXCL --set r=2 --set j=3 --set n=5,5",
      "rbpa: --set n repeats a value\n"),
+    # a parameter named twice used to keep only its last list
+    ("verify T3 --set n=1 --set n=2", "rbpa: --set names n twice\n"),
     (f"verify T3 --set r={_listed(range(9))} --set j={_listed(range(9))} "
      f"--set n={_listed(range(13))}",
      "rbpa: T3 would check 1053 bindings; --set allows at most 1000\n"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rbpa import counts
-from rbpa.combinat import binomial
+from rbpa.combinat import binomial, unit_reciprocal
 from rbpa.counts import (
     CertificationFailureError,
     SequenceTable,
@@ -19,8 +19,8 @@ from rbpa.counts import (
     p_egf,
     p_inclusion_exclusion,
     p_recurrence,
+    p_reciprocal_row,
     p_series_certified,
-    two_minus_exp_power,
 )
 from rbpa.egf import Egf, exp_series, one
 
@@ -184,11 +184,22 @@ def test_series_with_one_free_section_builds_no_row():
 
 
 @settings(deadline=None)
-@given(st.integers(0, 12), st.integers(0, 60))
-@example(0, 30)
-@example(5, 0)
-def test_binomial_power_row_equals_the_series_power(j, order):
-    assert two_minus_exp_power(j, order) == _two_minus_exp(order) ** j
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 60))
+@example(0, 0, 30)
+@example(0, 5, 0)
+@example(7, 0, 20)
+def test_binomial_power_row_equals_the_series_power(r, j, order):
+    series = exp_series(-r, order) * _two_minus_exp(order) ** j
+    assert p_reciprocal_row(r, j, order) == series.coeffs
+
+
+def test_unit_reciprocal_of_the_p_row_is_the_closed_form():
+    counts.clear_caches()
+    for r in range(9):
+        for j in range(9):
+            for order in (0, 1, 5, 40):
+                row = p_egf(r, j, order).values
+                assert unit_reciprocal(row) == p_reciprocal_row(r, j, order)
 
 
 def test_p_rows_raise_no_series_to_a_power(monkeypatch):
@@ -439,7 +450,7 @@ def test_p_egf_refuses_a_non_integer_with_a_type_error():
 
 @pytest.mark.parametrize("route", [
     p_egf, p_recurrence, p_binomial_shift, p_double_sum, p_series_certified,
-    p_inclusion_exclusion,
+    p_inclusion_exclusion, p_reciprocal_row,
 ])
 @pytest.mark.parametrize("bad", [(1.0, 1, 3), (1, 1.0, 3), (1, 1, 3.0),
                                  (1, 1, "3"), (Fraction(1), 1, 3)])
@@ -457,6 +468,9 @@ def test_every_p_route_refuses_non_integers(route, bad):
     (p_double_sum, (1, 1, -1), "r, n must be >= 0"),
     (p_series_certified, (-1, 1, 3), "r, n must be >= 0"),
     (p_series_certified, (1, 1, -1), "r, n must be >= 0"),
+    (p_reciprocal_row, (-1, 1, 3), "r, j, order must be >= 0"),
+    (p_reciprocal_row, (1, -1, 3), "r, j, order must be >= 0"),
+    (p_reciprocal_row, (1, 1, -1), "r, j, order must be >= 0"),
 ])
 def test_p_routes_refuse_negative_arguments(route, args, message):
     with pytest.raises(ValueError) as exc:
